@@ -51,7 +51,7 @@ type APSPFreeRecord struct {
 	TableMaxBits   int          `json:"table_max_bits"`
 	TableMeanBits  float64      `json:"table_mean_bits"`
 	// CachedEntries is the lazy backend's resident row-cache size
-	// (settled entries, ~20 bytes each) after build+sweep — the number
+	// (settled entries, ~35 bytes each) after build+sweep — the number
 	// that replaces n² in the memory story. Zero on dense rows. It is a
 	// pure function of the flags (the cache transcript is
 	// deterministic), so it survives the double-run byte-diff.

@@ -32,8 +32,11 @@ type APSP struct {
 }
 
 // NewAPSP runs Dijkstra from every node and builds the oracle.
-// It costs O(n·m·log n) time and O(n²) memory; the single-source runs
-// and the per-node distance sorts are spread over all CPUs.
+// It costs O(n·m·log n) time and O(n²) memory. Sources are strided
+// over the worker pool, each worker reusing one sssp scratch for all
+// of its sources, and the order rows need no sort: the kernel settles
+// nodes in (distance, id) order, so row u of order is u's settle
+// sequence.
 func NewAPSP(g *graph.Graph) *APSP {
 	n := g.N()
 	a := &APSP{
@@ -42,30 +45,21 @@ func NewAPSP(g *graph.Graph) *APSP {
 		nextHop: make([]int32, n*n),
 		order:   make([]int32, n*n),
 	}
-	par.For(n, func(u int) {
-		spt := Dijkstra(g, u)
-		// Iteration u owns dist row u and nextHop column u: spt.Dist is
-		// the distance row of source u, spt.Parent[v] is v's next hop
-		// toward u (column u of the next-hop matrix).
-		copy(a.dist[u*n:(u+1)*n], spt.Dist)
-		for v := 0; v < n; v++ {
-			a.nextHop[v*n+u] = int32(spt.Parent[v])
-		}
-	})
-	par.For(n, func(u int) {
-		perm := a.order[u*n : (u+1)*n]
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		row := a.dist[u*n : (u+1)*n]
-		sort.Slice(perm, func(i, j int) bool {
-			di, dj := row[perm[i]], row[perm[j]]
-			//determinlint:allow floateq deliberate exact tie-break: (distance, id) ordering must be bit-reproducible
-			if di != dj {
-				return di < dj
+	workers := par.SuggestedWorkers(n)
+	par.For(workers, func(w int) {
+		s := newSSSP(n)
+		for u := w; u < n; u += workers {
+			s.run(g, u)
+			// Source u owns dist row u, order row u and nextHop column
+			// u: s.parent[v] is v's next hop toward u.
+			copy(a.dist[u*n:(u+1)*n], s.dist)
+			copy(a.order[u*n:(u+1)*n], s.order)
+			for v, p := range s.parent {
+				//determinlint:allow parbody worker w owns the sources {w, w+workers, ...}: column u of nextHop has exactly one writer
+				a.nextHop[v*n+u] = p
 			}
-			return perm[i] < perm[j]
-		})
+			s.reset()
+		}
 	})
 	return a
 }

@@ -18,6 +18,67 @@ func benchOracle(tb testing.TB, n int) *APSP {
 	return NewAPSP(g)
 }
 
+// benchGraph builds the n-node graph of one kernel benchmark family:
+// the geometric (doubling) graph the dense tcp-zipf workload serves,
+// or the Internet-like power-law graph of the lazy workload.
+func benchGraph(tb testing.TB, family string, n int) *graph.Graph {
+	tb.Helper()
+	var g *graph.Graph
+	var err error
+	switch family {
+	case "geometric":
+		g, _, err = graph.RandomGeometric(n, 1.8*math.Sqrt(math.Log(float64(n))/float64(n)), 1)
+	case "power-law":
+		g, err = graph.PowerLaw(n, 2, 1024, 1)
+	default:
+		tb.Fatalf("unknown family %q", family)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// Package-level sinks keep the measured calls from being optimized
+// away.
+var (
+	sinkAPSP *APSP
+	sinkDist float64
+)
+
+// BenchmarkNewAPSP measures the dense backend's whole build: n kernel
+// runs plus the matrix writes. Run it with
+// `go test ./internal/metric -run '^$' -bench NewAPSP -benchmem`.
+func BenchmarkNewAPSP(b *testing.B) {
+	for _, family := range []string{"geometric", "power-law"} {
+		b.Run(family+"/n2048", func(b *testing.B) {
+			g := benchGraph(b, family, 2048)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkAPSP = NewAPSP(g)
+			}
+		})
+	}
+}
+
+// BenchmarkLazyDistCold measures the lazy backend's cold path: every
+// iteration asks a pair never asked before, sweeping sources so the
+// default cache (8 full rows) rarely holds the row, and each miss runs
+// the kernel out to the target.
+func BenchmarkLazyDistCold(b *testing.B) {
+	g := benchGraph(b, "power-law", 2048)
+	n := g.N()
+	o := NewLazyOracle(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// i -> (u, v) is a bijection on the first n*n iterations.
+		u, k := i%n, (i/n)%n
+		sinkDist = o.Dist(u, (u+1+k)%n)
+	}
+}
+
 // BenchmarkBall measures the allocating accessor the scheme
 // constructors used to call per (node, level).
 func BenchmarkBall(b *testing.B) {

@@ -24,12 +24,15 @@ type SPT struct {
 	Parent []int
 }
 
-// pqItem is an entry of the binary heap used by Dijkstra.
+// pqItem is an entry of the lazy-deletion binary heap used by
+// Voronoi. Single-source runs use the indexed sssp kernel instead;
+// Voronoi keeps this heap because its equal-distance frontiers must
+// pop in center order, not node order.
 type pqItem struct {
 	node int
 	dist float64
-	// owner orders equal-distance entries; single-source Dijkstra uses
-	// the parent id, multi-source Voronoi uses the center id.
+	// owner orders equal-distance entries: the id of the center the
+	// entry extends.
 	owner int
 }
 
@@ -84,38 +87,16 @@ func less(a, b pqItem) bool {
 	return a.node < b.node
 }
 
-// Dijkstra computes the shortest-path tree from src.
+// Dijkstra computes the shortest-path tree from src on the shared
+// sssp kernel (one run on fresh scratch).
 func Dijkstra(g *graph.Graph, src int) *SPT {
-	n := g.N()
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
+	s := newSSSP(g.N())
+	s.run(g, src)
+	parent := make([]int, g.N())
+	for v, p := range s.parent {
+		parent[v] = int(p)
 	}
-	dist[src] = 0
-	h := make(pq, 0, n)
-	h.push(pqItem{node: src, dist: 0, owner: -1})
-	for len(h) > 0 {
-		it := h.pop()
-		v := it.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for _, e := range g.Neighbors(v) {
-			nd := it.dist + e.Weight
-			w := e.To
-			//determinlint:allow floateq deliberate exact tie-break: equal-distance relaxations keep the min-id parent bit for bit
-			if nd < dist[w] || (nd == dist[w] && !done[w] && (parent[w] == -1 || v < parent[w])) {
-				dist[w] = nd
-				parent[w] = v
-				h.push(pqItem{node: w, dist: nd, owner: v})
-			}
-		}
-	}
-	return &SPT{Source: src, Dist: dist, Parent: parent}
+	return &SPT{Source: src, Dist: s.dist, Parent: parent}
 }
 
 // PathTo returns the node sequence of the tree path from v to the source

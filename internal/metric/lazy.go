@@ -12,12 +12,14 @@ import (
 // LazyOracle is the on-demand distance backend: instead of the dense
 // APSP matrix it computes truncated single-source Dijkstra rows per
 // query, exactly the prefix the full run from that source would settle,
-// and caches them in a bounded generation-keyed LRU. Because Dijkstra
-// settles nodes in nondecreasing distance, a truncated row is
-// byte-identical to the corresponding prefix of the dense backend's
-// row — every Distancer query therefore returns bit-identical results
-// on both backends (equivalence_test.go), while memory stays
-// proportional to the cached rows instead of n².
+// and caches them in a bounded generation-keyed LRU. Rows run on the
+// same sssp kernel as NewAPSP, which settles nodes in (distance, id)
+// order, so a truncated row is byte-identical to the corresponding
+// prefix of the dense backend's distance and order rows, and is
+// indexed directly with no re-sort — every Distancer query therefore
+// returns bit-identical results on both backends (equivalence_test.go,
+// kernel_reference_test.go), while memory stays proportional to the
+// cached rows instead of n². Stats reports the work done.
 //
 // Queries are deterministic regardless of cache state: an evicted row
 // is re-derived by re-running the same truncated Dijkstra, so answers
@@ -39,7 +41,25 @@ type LazyOracle struct {
 	tail    *lazyRow // least recently used
 	entries int      // total settled entries cached across rows
 	maxEnt  int
-	bld     *rowBuilder
+	bld     *sssp
+	stats   LazyStats
+}
+
+// LazyStats counts the lazy oracle's work since construction. Every
+// field is a pure function of the query sequence: rows are built and
+// evicted in the same order at any GOMAXPROCS (PrefetchBalls installs
+// serially), so two runs of one workload report the same numbers.
+type LazyStats struct {
+	// Hits counts queries answered from a cached row without running
+	// the kernel.
+	Hits uint64
+	// RowsBuilt counts truncated Dijkstra runs (cold misses, row
+	// extensions and prefetched rows).
+	RowsBuilt uint64
+	// Settled sums the entries those runs settled.
+	Settled uint64
+	// Evictions counts rows the entry budget pushed out of the cache.
+	Evictions uint64
 }
 
 // rowKey identifies a cached row: the oracle generation it was built
@@ -52,18 +72,16 @@ type rowKey struct {
 // lazyRow is one source's truncated Dijkstra output.
 type lazyRow struct {
 	key rowKey
-	// Settle-order arrays: nodes[i] was the i-th node settled, at
-	// distance dist[i] (nondecreasing) with parent[i] its next hop
-	// toward the source (-1 at the source).
+	// Order arrays, in the kernel's (distance, node id) settle order —
+	// the dense backend's order-row tie-break: nodes[i] is the i-th
+	// nearest node, at distance dist[i] (nondecreasing) with parent[i]
+	// its next hop toward the source (-1 at the source).
 	nodes  []int32
 	dist   []float64
 	parent []int32
-	idx    map[int32]int32 // node -> settle position
-	// ord lists settle positions re-sorted by (distance, node id) —
-	// the dense backend's order-row tie-break.
-	ord []int32
+	idx    map[int32]int32 // node -> position
 	// safeDist is the proven completeness radius: every node at
-	// distance <= safeDist is settled, so ord entries up to it are an
+	// distance <= safeDist is settled, so entries up to it are an
 	// exact prefix of the full order row. complete means the whole
 	// graph is settled.
 	safeDist float64
@@ -78,7 +96,8 @@ type LazyOpts struct {
 	// runtime (the serving plane's reload path).
 	Generation uint64
 	// MaxEntries bounds the total settled entries cached across rows
-	// (roughly 20 bytes each). <= 0 selects the default: enough for a
+	// (about 35 bytes each: 16 in the row arrays, the rest in the
+	// row's node -> position map). <= 0 selects the default: enough for a
 	// handful of full rows plus the working set of a ball sweep.
 	MaxEntries int
 }
@@ -118,7 +137,7 @@ func NewLazyOracleOpts(g *graph.Graph, opts LazyOpts) *LazyOracle {
 		gen:     opts.Generation,
 		rows:    make(map[rowKey]*lazyRow),
 		maxEnt:  maxEnt,
-		bld:     newRowBuilder(g.N()),
+		bld:     newSSSP(g.N()),
 	}
 }
 
@@ -147,6 +166,13 @@ func (o *LazyOracle) CachedEntries() int {
 	return o.entries
 }
 
+// Stats returns the work counters accumulated so far.
+func (o *LazyOracle) Stats() LazyStats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.stats
+}
+
 // N returns the number of nodes.
 func (o *LazyOracle) N() int { return o.n }
 
@@ -171,6 +197,7 @@ func (o *LazyOracle) distFast(u, v int) (float64, bool) {
 	if row != nil {
 		if p, ok := row.idx[int32(v)]; ok {
 			d := row.dist[p]
+			o.stats.Hits++
 			o.touch(row)
 			o.mu.Unlock()
 			return d, true
@@ -206,8 +233,7 @@ func (o *LazyOracle) NextHop(u, v int) int {
 func (o *LazyOracle) Kth(u, k int) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	row := o.ensureCount(u, k+1)
-	return int(row.nodes[row.ord[k]])
+	return int(o.ensureCount(u, k+1).nodes[k])
 }
 
 // RadiusOfSize returns r_u(size), the distance from u to its size-th
@@ -221,8 +247,7 @@ func (o *LazyOracle) RadiusOfSize(u, size int) float64 {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	row := o.ensureCount(u, size)
-	return row.dist[row.ord[size-1]]
+	return o.ensureCount(u, size).dist[size-1]
 }
 
 // BallOfSize returns the first size entries of u's distance order.
@@ -240,9 +265,8 @@ func (o *LazyOracle) AppendBallOfSize(dst []int, u, size int) []int {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	row := o.ensureCount(u, size)
-	for i := 0; i < size; i++ {
-		dst = append(dst, int(row.nodes[row.ord[i]]))
+	for _, v := range o.ensureCount(u, size).nodes[:size] {
+		dst = append(dst, int(v))
 	}
 	return dst
 }
@@ -258,9 +282,8 @@ func (o *LazyOracle) AppendBall(dst []int, u int, r float64) []int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	row := o.ensureRadius(u, r)
-	k := row.searchBeyond(r)
-	for i := 0; i < k; i++ {
-		dst = append(dst, int(row.nodes[row.ord[i]]))
+	for _, v := range row.nodes[:row.searchBeyond(r)] {
+		dst = append(dst, int(v))
 	}
 	return dst
 }
@@ -293,7 +316,7 @@ func (o *LazyOracle) Eccentricity(u int) float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	row := o.ensureRadius(u, math.Inf(1))
-	return row.dist[row.ord[len(row.ord)-1]]
+	return row.dist[len(row.dist)-1]
 }
 
 // PrefetchBalls warms the rows of the given sources out to radius r.
@@ -320,14 +343,17 @@ func (o *LazyOracle) PrefetchBalls(sources []int, r float64) {
 	// built[i] is written by exactly one worker, and each row is a pure
 	// function of (graph, source, r), so the result is schedule-free.
 	par.For(workers, func(w int) {
-		bld := newRowBuilder(o.n)
+		s := newSSSP(o.n)
 		for i := w; i < len(built); i += workers {
 			//determinlint:allow parbody worker w owns the stride {w, w+workers, ...}: each built[i] has exactly one writer and rows are pure functions of (graph, source, r)
-			built[i] = bld.run(o.g, need[i], gen, buildStop{radius: r, node: -1})
+			built[i] = buildRow(s, o.g, need[i], gen, buildStop{radius: r, node: -1})
 		}
 	})
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	for _, row := range built {
+		o.countBuilt(row)
+	}
 	if o.gen != gen {
 		return // invalidated mid-build; drop the stale rows
 	}
@@ -389,6 +415,7 @@ func (o *LazyOracle) install(row *lazyRow, old *lazyRow) {
 	}
 	for o.entries > o.maxEnt && o.tail != nil && o.tail != row {
 		o.remove(o.tail)
+		o.stats.Evictions++
 	}
 }
 
@@ -421,15 +448,23 @@ func (o *LazyOracle) row(u int) *lazyRow {
 // rebuild replaces u's row with one built under the given stop
 // condition.
 func (o *LazyOracle) rebuild(u int, old *lazyRow, stop buildStop) *lazyRow {
-	row := o.bld.run(o.g, u, o.gen, stop)
+	row := buildRow(o.bld, o.g, u, o.gen, stop)
+	o.countBuilt(row)
 	o.install(row, old)
 	return row
+}
+
+// countBuilt records one kernel run in the stats.
+func (o *LazyOracle) countBuilt(row *lazyRow) {
+	o.stats.RowsBuilt++
+	o.stats.Settled += uint64(len(row.nodes))
 }
 
 // ensureRadius returns u's row, complete through radius r.
 func (o *LazyOracle) ensureRadius(u int, r float64) *lazyRow {
 	row := o.row(u)
 	if row != nil && (row.complete || row.safeDist >= r) {
+		o.stats.Hits++
 		return row
 	}
 	want := r
@@ -450,6 +485,7 @@ func (o *LazyOracle) ensureCount(u, k int) *lazyRow {
 	}
 	row := o.row(u)
 	if row != nil && row.orderedPrefix(k) {
+		o.stats.Hits++
 		return row
 	}
 	want := k
@@ -466,11 +502,10 @@ func (o *LazyOracle) ensureCount(u, k int) *lazyRow {
 func (o *LazyOracle) ensureNode(u, v int) *lazyRow {
 	row := o.row(u)
 	if row != nil {
-		if _, ok := row.idx[int32(v)]; ok {
-			return row
-		}
-		if row.complete {
-			// Connected graph: a complete row holds every node.
+		_, ok := row.idx[int32(v)]
+		// Connected graph: a complete row holds every node.
+		if ok || row.complete {
+			o.stats.Hits++
 			return row
 		}
 	}
@@ -485,13 +520,13 @@ func (r *lazyRow) orderedPrefix(k int) bool {
 	if k > len(r.nodes) {
 		return false
 	}
-	return r.complete || r.dist[r.ord[k-1]] <= r.safeDist
+	return r.complete || r.dist[k-1] <= r.safeDist
 }
 
 // searchBeyond returns the number of order entries at distance <= rad
 // (callers guarantee completeness through rad).
 func (r *lazyRow) searchBeyond(rad float64) int {
-	return sort.Search(len(r.ord), func(i int) bool { return r.dist[r.ord[i]] > rad })
+	return sort.Search(len(r.dist), func(i int) bool { return r.dist[i] > rad })
 }
 
 // --- truncated Dijkstra ---
@@ -512,143 +547,63 @@ type buildStop struct {
 	node   int
 }
 
-// rowBuilder holds the reusable single-source state for truncated
-// Dijkstra runs. Epoch stamping makes resets O(touched), not O(n), so
-// building a small ball costs ball-sized work.
-type rowBuilder struct {
-	dist   []float64
-	parent []int32
-	done   []bool
-	stamp  []uint32
-	epoch  uint32
-	heap   pq
-}
-
-func newRowBuilder(n int) *rowBuilder {
-	return &rowBuilder{
-		dist:   make([]float64, n),
-		parent: make([]int32, n),
-		done:   make([]bool, n),
-		stamp:  make([]uint32, n),
-	}
-}
-
-// seen reports whether v has state in the current epoch, stamping it
-// fresh (dist=+Inf, parent=-1, not done) if not.
-func (b *rowBuilder) seen(v int) bool {
-	if b.stamp[v] == b.epoch {
-		return true
-	}
-	b.stamp[v] = b.epoch
-	b.dist[v] = math.Inf(1)
-	b.parent[v] = -1
-	b.done[v] = false
-	return false
-}
-
-// run executes one truncated Dijkstra from src. The relaxation —
-// including the equal-distance min-id parent tie-break and the heap's
-// (dist, owner, node) ordering — is exactly metric.Dijkstra's, so the
-// settled prefix is byte-identical to the full run's: settled
-// distances and parents are final the moment a node pops, and pops
-// come off in nondecreasing distance, so any two runs from the same
-// source agree on every node both settled.
+// buildRow executes one truncated Dijkstra from src on clean kernel
+// scratch s and leaves s clean. The kernel's run is deterministic, so
+// the settled prefix is byte-identical to the full run's: distances and
+// parents are final the moment a node settles, and nodes settle in
+// (distance, id) order, so any two runs from the same source agree on
+// every node both settled.
 //
 // Each buildStop field is an independent stop requirement; the run
 // settles until all requested requirements hold (a stop with no
 // requirement — infinite radius, no count, no node — settles the
 // whole graph).
-func (b *rowBuilder) run(g *graph.Graph, src int, gen uint64, stop buildStop) *lazyRow {
-	b.epoch++
-	b.heap = b.heap[:0]
-	b.seen(src)
-	b.dist[src] = 0
-	b.heap.push(pqItem{node: src, dist: 0, owner: -1})
-
-	row := &lazyRow{key: rowKey{gen, int32(src)}}
+func buildRow(s *sssp, g *graph.Graph, src int, gen uint64, stop buildStop) *lazyRow {
 	n := g.N()
 	wantRadius := !math.IsInf(stop.radius, 1)
+	early := wantRadius || stop.count > 0 || stop.node >= 0
+	sawNode := stop.node < 0
 	lastDist := 0.0
-	for len(b.heap) > 0 {
-		it := b.heap.pop()
-		v := it.node
-		if b.done[v] {
-			continue
+	s.start(src)
+	for s.hn > 0 && len(s.order) < n {
+		v, d := s.settle(g)
+		lastDist = d
+		if int(v) == stop.node {
+			sawNode = true
 		}
-		b.done[v] = true
-		lastDist = it.dist
-		row.nodes = append(row.nodes, int32(v))
-		row.dist = append(row.dist, it.dist)
-		row.parent = append(row.parent, b.parent[v])
-		for _, e := range g.Neighbors(v) {
-			w := e.To
-			nd := it.dist + e.Weight
-			b.seen(w)
-			//determinlint:allow floateq deliberate exact tie-break: must match Dijkstra's equal-distance min-id parent rule bit for bit
-			if nd < b.dist[w] || (nd == b.dist[w] && !b.done[w] && (b.parent[w] == -1 || int32(v) < b.parent[w])) {
-				b.dist[w] = nd
-				b.parent[w] = int32(v)
-				b.heap.push(pqItem{node: w, dist: nd, owner: v})
-			}
-		}
-		if len(row.nodes) == n {
-			break
-		}
-		if !wantRadius && stop.count <= 0 && stop.node < 0 {
-			continue // no early-stop requirement: settle everything
-		}
-		if (!wantRadius || it.dist > stop.radius) &&
-			(stop.count <= 0 || len(row.nodes) >= stop.count) &&
-			(stop.node < 0 || b.settledNode(stop.node)) &&
-			b.nextLiveDist() > lastDist {
-			// The tie-flush gate (nextLiveDist > lastDist) makes the
+		if early &&
+			(!wantRadius || d > stop.radius) &&
+			(stop.count <= 0 || len(s.order) >= stop.count) &&
+			sawNode &&
+			s.nextDist() > lastDist {
+			// The tie-flush gate (nextDist > lastDist) makes the
 			// settled set closed under distance equality, so the
-			// (distance, id) re-sort below is an exact prefix of the
-			// full order row through safeDist inclusive.
+			// settle order is an exact prefix of the full order row
+			// through safeDist inclusive.
 			break
 		}
 	}
-	if len(row.nodes) == n {
-		row.complete = true
-		row.safeDist = lastDist
-	} else {
-		// All nodes at distance <= lastDist settled (the loop only
-		// breaks after flushing distance ties at lastDist).
-		row.safeDist = lastDist
+	if s.unsorted {
+		s.sortOrder()
 	}
-	row.idx = make(map[int32]int32, len(row.nodes))
+	k := len(s.order)
+	row := &lazyRow{
+		key:    rowKey{gen, int32(src)},
+		nodes:  make([]int32, k),
+		dist:   make([]float64, k),
+		parent: make([]int32, k),
+		idx:    make(map[int32]int32, k),
+		// All nodes at distance <= lastDist are settled (the loop only
+		// breaks after flushing distance ties at lastDist).
+		safeDist: lastDist,
+		complete: k == n,
+	}
+	copy(row.nodes, s.order)
 	for i, v := range row.nodes {
+		row.dist[i] = s.dist[v]
+		row.parent[i] = s.parent[v]
 		row.idx[v] = int32(i)
 	}
-	row.ord = make([]int32, len(row.nodes))
-	for i := range row.ord {
-		row.ord[i] = int32(i)
-	}
-	sort.Slice(row.ord, func(i, j int) bool {
-		di, dj := row.dist[row.ord[i]], row.dist[row.ord[j]]
-		//determinlint:allow floateq deliberate exact tie-break: (distance, id) ordering must be bit-reproducible
-		if di != dj {
-			return di < dj
-		}
-		return row.nodes[row.ord[i]] < row.nodes[row.ord[j]]
-	})
+	s.reset()
 	return row
-}
-
-// nextLiveDist returns the distance of the nearest unsettled heap
-// entry (+Inf when none), discarding dead entries on the way.
-func (b *rowBuilder) nextLiveDist() float64 {
-	for len(b.heap) > 0 {
-		if b.done[b.heap[0].node] {
-			b.heap.pop()
-			continue
-		}
-		return b.heap[0].dist
-	}
-	return math.Inf(1)
-}
-
-// settledNode reports whether v has been settled this run.
-func (b *rowBuilder) settledNode(v int) bool {
-	return b.stamp[v] == b.epoch && b.done[v]
 }

@@ -177,3 +177,42 @@ func TestLazyPrefetchParallelDeterminism(t *testing.T) {
 		t.Fatalf("cache state differs by schedule: %d entries serial, %d parallel", serialEntries, parallelEntries)
 	}
 }
+
+// TestLazyStatsDeterministic pins the work counters to the query
+// sequence: a fixed workload — a parallel PrefetchBalls sweep, then
+// point, ball and order queries through an undersized cache — reports
+// identical Stats on a repeat run and at GOMAXPROCS 1 vs 8.
+func TestLazyStatsDeterministic(t *testing.T) {
+	g := propertyGraph(t, 96, 23)
+	n := g.N()
+	workload := func(procs int) LazyStats {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		o := NewLazyOracleOpts(g, LazyOpts{MaxEntries: 4 * n})
+		sources := make([]int, 0, n/3)
+		for u := 0; u < n; u += 3 {
+			sources = append(sources, u)
+		}
+		r := o.Eccentricity(0) / 3
+		o.PrefetchBalls(sources, r)
+		for i := 0; i < 4*n; i++ {
+			u, v := (i*7)%n, (i*13+5)%n
+			o.Dist(u, v)
+			o.NextHop(u, v)
+			o.BallSize(u, r/2)
+			o.Kth(v, i%n)
+			o.RadiusOfSize(u, 1+i%16)
+		}
+		return o.Stats()
+	}
+	first := workload(1)
+	if first.Hits == 0 || first.RowsBuilt == 0 || first.Evictions == 0 || first.Settled < first.RowsBuilt {
+		t.Fatalf("workload did not exercise every counter: %+v", first)
+	}
+	if again := workload(1); again != first {
+		t.Fatalf("Stats differ between identical runs: %+v vs %+v", first, again)
+	}
+	if parallel := workload(8); parallel != first {
+		t.Fatalf("Stats differ between GOMAXPROCS=1 and 8: %+v vs %+v", first, parallel)
+	}
+}

@@ -2,15 +2,16 @@ package metric
 
 import (
 	"fmt"
-	"sort"
 
 	"compactrouting/internal/par"
 )
 
 // RestoreAPSP rebuilds an APSP oracle from its serialized matrices
 // (dist and nextHop, both row-major [u*n+v]) without re-running any
-// Dijkstra. The per-node distance orders are re-derived with exactly
-// the sort NewAPSP uses (distance, ties by node id), so a restored
+// Dijkstra. NewAPSP takes its order rows from the kernel's settle
+// sequence; restore has no kernel run, so it sorts each distance row
+// by (distance, node id) — the order that sequence is (pinned on
+// tie-heavy grids by TestRestoreAPSPAgreesOnTies) — and a restored
 // oracle is indistinguishable from a freshly built one.
 //
 // The slices are retained, not copied.
@@ -32,15 +33,7 @@ func RestoreAPSP(n int, dist []float64, nextHop []int32) (*APSP, error) {
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		row := a.dist[u*n : (u+1)*n]
-		sort.Slice(perm, func(i, j int) bool {
-			di, dj := row[perm[i]], row[perm[j]]
-			//determinlint:allow floateq deliberate exact tie-break: (distance, id) ordering must be bit-reproducible
-			if di != dj {
-				return di < dj
-			}
-			return perm[i] < perm[j]
-		})
+		sortByDist(perm, a.dist[u*n:(u+1)*n])
 	})
 	return a, nil
 }
