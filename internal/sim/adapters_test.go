@@ -55,73 +55,41 @@ func TestAdaptersMatchSequentialRouters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each case erases the adapter's header type behind a closure so
-	// one table drives all six adapters.
+	// Each case erases the adapter's header type behind drivers so one
+	// table drives all six adapters through every driver.
 	cases := []struct {
 		name string
 		// addr maps a destination node to the adapter's address space.
 		addr func(dst int) int
-		// adapter routes src -> addr(dst) through RouteOnce.
-		adapter func(src, addr int) Result
+		drv  drivers
 		// sequential is the scheme's own driver for the same address.
 		sequential func(src, addr int) (*core.Route, error)
 	}{
-		{
-			name: "SimpleLabeledRouter",
-			addr: simple.LabelOf,
-			adapter: func(src, addr int) Result {
-				return RouteOnce[labeled.SimpleHeader](g, SimpleLabeledRouter{S: simple}, src, addr, 0)
-			},
-			sequential: simple.RouteToLabel,
-		},
-		{
-			name: "ScaleFreeLabeledRouter",
-			addr: free.LabelOf,
-			adapter: func(src, addr int) Result {
-				return RouteOnce[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: free}, src, addr, 64*n)
-			},
-			sequential: free.RouteToLabel,
-		},
-		{
-			name: "NameIndependentRouter",
-			addr: nm.NameOf,
-			adapter: func(src, addr int) Result {
-				return RouteOnce[nameind.NIHeader](g, NameIndependentRouter{S: ni}, src, addr, 256*n)
-			},
-			sequential: ni.RouteToName,
-		},
-		{
-			name: "ScaleFreeNameIndependentRouter",
-			addr: nm.NameOf,
-			adapter: func(src, addr int) Result {
-				return RouteOnce[nameind.SFNIHeader](g, ScaleFreeNameIndependentRouter{S: sfni}, src, addr, 512*n)
-			},
-			sequential: sfni.RouteToName,
-		},
-		{
-			name: "FullTableRouter",
-			addr: func(dst int) int { return dst },
-			adapter: func(src, addr int) Result {
-				return RouteOnce[baseline.Destination](g, FullTableRouter{S: full}, src, addr, 0)
-			},
-			sequential: full.RouteToLabel,
-		},
-		{
-			name: "SingleTreeRouter",
-			addr: func(dst int) int { return dst },
-			adapter: func(src, addr int) Result {
-				return RouteOnce[baseline.TreeHeader](g, SingleTreeRouter{S: tree}, src, addr, 0)
-			},
-			sequential: tree.RouteToLabel,
-		},
+		{"SimpleLabeledRouter", simple.LabelOf,
+			bindDrivers[labeled.SimpleHeader](g, SimpleLabeledRouter{S: simple}, 0), simple.RouteToLabel},
+		{"ScaleFreeLabeledRouter", free.LabelOf,
+			bindDrivers[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: free}, 64*n), free.RouteToLabel},
+		{"NameIndependentRouter", nm.NameOf,
+			bindDrivers[nameind.NIHeader](g, NameIndependentRouter{S: ni}, 256*n), ni.RouteToName},
+		{"ScaleFreeNameIndependentRouter", nm.NameOf,
+			bindDrivers[nameind.SFNIHeader](g, ScaleFreeNameIndependentRouter{S: sfni}, 512*n), sfni.RouteToName},
+		{"FullTableRouter", func(dst int) int { return dst },
+			bindDrivers[baseline.Destination](g, FullTableRouter{S: full}, 0), full.RouteToLabel},
+		{"SingleTreeRouter", func(dst int) int { return dst },
+			bindDrivers[baseline.TreeHeader](g, SingleTreeRouter{S: tree}, 0), tree.RouteToLabel},
 	}
 
 	pairs := core.SamplePairs(n, 120, 9)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, p := range pairs {
+			deliveries := make([]Delivery, len(pairs))
+			for i, p := range pairs {
+				deliveries[i] = Delivery{Src: p[0], Dst: tc.addr(p[1])}
+			}
+			concurrent := tc.drv.run(deliveries)
+			for i, p := range pairs {
 				addr := tc.addr(p[1])
-				got := tc.adapter(p[0], addr)
+				got := tc.drv.once(p[0], addr)
 				if got.Err != nil {
 					t.Fatalf("pair %v: adapter failed: %v", p, got.Err)
 				}
@@ -149,9 +117,60 @@ func TestAdaptersMatchSequentialRouters(t *testing.T) {
 				if got.MaxHeaderBits <= 0 {
 					t.Fatalf("pair %v: no header accounting", p)
 				}
+				// The three drivers must agree bit for bit.
+				shapes := map[string]walkShape{
+					"RouteOnce": shapeOf(got),
+					"RouteLite": liteShape(tc.drv.lite(p[0], addr)),
+					"Run":       shapeOf(concurrent[i]),
+				}
+				for driver, s := range shapes {
+					if s != shapes["RouteOnce"] {
+						t.Fatalf("pair %v: %s walk %+v, RouteOnce %+v", p, driver, s, shapes["RouteOnce"])
+					}
+				}
 			}
 		})
 	}
+}
+
+// drivers erases one adapter's header type behind the three route
+// drivers.
+type drivers struct {
+	once func(src, addr int) Result
+	lite func(src, addr int) LiteResult
+	run  func(deliveries []Delivery) []Result
+}
+
+func bindDrivers[H Header](g *graph.Graph, r Router[H], maxHops int) drivers {
+	return drivers{
+		once: func(src, addr int) Result { return RouteOnce(g, r, src, addr, maxHops) },
+		lite: func(src, addr int) LiteResult { return RouteLite(g, r, src, addr, maxHops) },
+		run:  func(deliveries []Delivery) []Result { return Run(g, r, deliveries, maxHops) },
+	}
+}
+
+// walkShape is what every driver reports about a walk, with the cost
+// compared bit for bit.
+type walkShape struct {
+	dst, hops, maxHeaderBits int
+	costBits                 uint64
+	err                      string
+}
+
+func shapeOf(r Result) walkShape {
+	s := walkShape{dst: r.Dst, hops: len(r.Path) - 1, maxHeaderBits: r.MaxHeaderBits, costBits: math.Float64bits(r.Cost)}
+	if r.Err != nil {
+		s.err = r.Err.Error()
+	}
+	return s
+}
+
+func liteShape(r LiteResult) walkShape {
+	s := walkShape{dst: r.Dst, hops: r.Hops, maxHeaderBits: r.MaxHeaderBits, costBits: math.Float64bits(r.Cost)}
+	if r.Err != nil {
+		s.err = r.Err.Error()
+	}
+	return s
 }
 
 // TestRouteOnceHopLimit mirrors Run's hop-limit behavior for the
