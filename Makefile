@@ -64,14 +64,25 @@ bench:
 	$(GO) run ./cmd/distsim -json BENCH_distsim.json
 	$(GO) run ./cmd/routeload -json -duration 3s -conns 4 -batch 16 > BENCH_routeload.json
 
+# double-run is the one recipe behind every determinism gate: it runs
+# a command twice, each time writing its output to $$out (a fresh temp
+# file), and fails unless the two outputs are byte-identical.
+#   $(1) the command, which writes its output to $$out
+#   $(2) the failure message
+#   $(3) the ok line
+comma := ,
+define double-run
+	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
+	out=$$tmp1 && $(1) && \
+	out=$$tmp2 && $(1) && \
+	{ cmp -s $$tmp1 $$tmp2 || { echo "$(2)"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
+	rm -f $$tmp1 $$tmp2 && echo "$(3)"
+endef
+
 # chaossim must be seed-deterministic: the same seed produces a
 # byte-identical JSON sweep. Run a small sweep twice and diff.
 chaos-determinism:
-	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
-	$(GO) run ./cmd/chaossim -n 48 -pairs 60 -loss 0,0.1 -fail 0,0.1 -seed 11 -json $$tmp1 >/dev/null && \
-	$(GO) run ./cmd/chaossim -n 48 -pairs 60 -loss 0,0.1 -fail 0,0.1 -seed 11 -json $$tmp2 >/dev/null && \
-	{ cmp -s $$tmp1 $$tmp2 || { echo "chaossim -json is not seed-deterministic"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
-	rm -f $$tmp1 $$tmp2 && echo "chaossim determinism: ok"
+	$(call double-run,$(GO) run ./cmd/chaossim -n 48 -pairs 60 -loss 0$(comma)0.1 -fail 0$(comma)0.1 -seed 11 -json $$out >/dev/null,chaossim -json is not seed-deterministic,chaossim determinism: ok)
 
 # The bench sweep now builds schemes and routes cells in parallel
 # (internal/par); with -timing=false the JSON must still be a pure
@@ -79,11 +90,7 @@ chaos-determinism:
 # histograms and per-phase decomposition (-trace). Run a small sweep
 # twice and diff.
 routebench-determinism:
-	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
-	$(GO) run ./cmd/routebench -json $$tmp1 -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null && \
-	$(GO) run ./cmd/routebench -json $$tmp2 -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null && \
-	{ cmp -s $$tmp1 $$tmp2 || { echo "routebench -json is not deterministic"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
-	rm -f $$tmp1 $$tmp2 && echo "routebench determinism: ok"
+	$(call double-run,$(GO) run ./cmd/routebench -json $$out -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null,routebench -json is not deterministic,routebench determinism: ok)
 
 # Same gate on the lazy backend: its answers come from truncated
 # Dijkstra rows derived on demand behind a shared LRU, so the JSON
@@ -91,11 +98,7 @@ routebench-determinism:
 # cache evictions, or the prefetch workers' schedule. Run twice and
 # diff, on the power-law family the backend exists for.
 routebench-lazy-determinism:
-	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
-	$(GO) run ./cmd/routebench -json $$tmp1 -backend lazy -graph power-law -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null && \
-	$(GO) run ./cmd/routebench -json $$tmp2 -backend lazy -graph power-law -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null && \
-	{ cmp -s $$tmp1 $$tmp2 || { echo "routebench -json -backend=lazy is not deterministic"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
-	rm -f $$tmp1 $$tmp2 && echo "routebench lazy determinism: ok"
+	$(call double-run,$(GO) run ./cmd/routebench -json $$out -backend lazy -graph power-law -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null,routebench -json -backend=lazy is not deterministic,routebench lazy determinism: ok)
 
 # The in-network construction must be seed-deterministic: engine
 # delivery is serialized in sender-id order and fault draws are pure
@@ -103,22 +106,14 @@ routebench-lazy-determinism:
 # every GOMAXPROCS and under loss. Run a small lossy sweep twice and
 # diff.
 distsim-determinism:
-	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
-	$(GO) run ./cmd/distsim -n 48,96 -pairs 60 -loss 0.1 -seed 11 -json $$tmp1 >/dev/null && \
-	$(GO) run ./cmd/distsim -n 48,96 -pairs 60 -loss 0.1 -seed 11 -json $$tmp2 >/dev/null && \
-	{ cmp -s $$tmp1 $$tmp2 || { echo "distsim -json is not seed-deterministic"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
-	rm -f $$tmp1 $$tmp2 && echo "distsim determinism: ok"
+	$(call double-run,$(GO) run ./cmd/distsim -n 48$(comma)96 -pairs 60 -loss 0.1 -seed 11 -json $$out >/dev/null,distsim -json is not seed-deterministic,distsim determinism: ok)
 
 # routeload's deterministic mode must be a pure function of the flags:
 # with -timing=false every connection does fixed work over a static pair
 # share and the report carries only counts and route-shape sums, so two
 # runs over both protocols are byte-identical. Run twice and diff.
 routeload-determinism:
-	@tmp1=$$(mktemp) && tmp2=$$(mktemp) && \
-	$(GO) run ./cmd/routeload -n 48 -pairs 60 -seed 11 -iters 5 -json -timing=false > $$tmp1 && \
-	$(GO) run ./cmd/routeload -n 48 -pairs 60 -seed 11 -iters 5 -json -timing=false > $$tmp2 && \
-	{ cmp -s $$tmp1 $$tmp2 || { echo "routeload -json is not deterministic"; rm -f $$tmp1 $$tmp2; exit 1; }; } && \
-	rm -f $$tmp1 $$tmp2 && echo "routeload determinism: ok"
+	$(call double-run,$(GO) run ./cmd/routeload -n 48 -pairs 60 -seed 11 -iters 5 -json -timing=false > $$out,routeload -json is not deterministic,routeload determinism: ok)
 
 # ~10s total: each codec fuzzer runs briefly from its seed corpus
 # (testdata/fuzz; regenerate with REGEN_FUZZ_CORPUS=1 go test

@@ -25,7 +25,6 @@
 package faultsim
 
 import (
-	"fmt"
 	"math"
 
 	"compactrouting/internal/graph"
@@ -67,7 +66,8 @@ type EdgeLoss struct {
 }
 
 // FaultPlan describes what is injected. The zero value injects nothing:
-// executions are hop-identical to internal/sim's.
+// executions are hop-identical to internal/sim's by construction, since
+// both run sim.Walk and the fault layer only observes its hops.
 type FaultPlan struct {
 	// Seed keys every random draw. Two plans with equal fields produce
 	// identical fault sequences.
@@ -283,88 +283,54 @@ func (in *Injector) backoff(rel Reliability, delivery, attempt uint64) float64 {
 	return b
 }
 
-// attempt walks one transmission through the router's step functions,
-// mirroring sim.RouteOnce hop for hop; faults may drop the packet
-// between steps. It returns the partial or complete walk, whether the
-// packet was dropped by an injected fault, and the virtual end time.
-// res.Err is set only for non-retryable routing errors.
+// faults is the fault layer as a sim.Observer: it decides whether each
+// checked hop's transmission survives — edge and node up checks, the
+// loss draw — and keeps the attempt's virtual clock. The recorder it
+// embeds logs the surviving walk (and the trace).
+type faults[H sim.Header] struct {
+	sim.Recorder[H]
+	in      *Injector
+	id, att uint64
+	t       float64
+}
+
+// Begin implements sim.Observer: a packet originating at a down node is
+// lost at its source.
+func (f *faults[H]) Begin(src, headerBits int) bool {
+	f.Recorder.Begin(src, headerBits)
+	return f.in.nodeUp(src, f.t)
+}
+
+// Hop implements sim.Observer.
+func (f *faults[H]) Hop(at, next int, nh H, headerBits int, w float64) bool {
+	hop := uint64(len(f.Path) - 1)
+	// The transmission leaves at time t over edge (at, next)...
+	if !f.in.edgeUp(at, next, f.t) {
+		return false
+	}
+	if p := f.in.lossOn(at, next); p > 0 && f.in.unit(drawLoss, f.id, f.att, hop) < p {
+		return false
+	}
+	// ...and arrives after the hop's latency, when the receiving node
+	// must be up.
+	f.t += f.in.hopLatency(f.id, f.att, hop)
+	if !f.in.nodeUp(next, f.t) {
+		return false
+	}
+	return f.Recorder.Hop(at, next, nh, headerBits, w)
+}
+
+// attempt walks one transmission through sim.Walk with the fault layer
+// observing every hop. It returns the partial or complete walk, whether
+// the packet was dropped by an injected fault, and the virtual end
+// time. res.Err is set only for non-retryable routing errors. Each
+// attempt restarts the trace: the surviving hop log describes the final
+// attempt's walk, matching Result.Sim.
 func attempt[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
 	in *Injector, id, att uint64, start float64, tr *trace.Trace) (res sim.Result, dropped bool, end float64) {
-	t := start
-	res = sim.Result{Src: src}
-	h, err := r.Prepare(dst)
-	if err != nil {
-		if tr != nil {
-			tr.Begin(int32(src), 0)
-		}
-		res.Err = err
-		return res, false, t
-	}
-	res.Path = []int{src}
-	res.MaxHeaderBits = h.Bits()
-	// Each attempt restarts the trace: the surviving hop log describes
-	// the final attempt's walk, matching Result.Sim.
-	if tr != nil {
-		tr.Begin(int32(src), int32(res.MaxHeaderBits))
-	}
-	if !in.nodeUp(src, t) {
-		return res, true, t
-	}
-	at := src
-	for {
-		next, nh, arrived, err := r.Step(at, h)
-		if err != nil {
-			res.Err = fmt.Errorf("sim: step at %d: %w", at, err)
-			return res, false, t
-		}
-		if arrived {
-			res.Dst = at
-			if tr != nil {
-				tr.Dst = int32(at)
-			}
-			return res, false, t
-		}
-		if len(res.Path) > maxHops {
-			res.Err = sim.HopLimitError(maxHops)
-			return res, false, t
-		}
-		w, ok := g.EdgeWeight(at, next)
-		if !ok {
-			res.Err = fmt.Errorf("sim: step at %d forwarded to non-neighbor %d", at, next)
-			return res, false, t
-		}
-		hop := uint64(len(res.Path) - 1)
-		// The transmission leaves at time t over edge (at, next)...
-		if !in.edgeUp(at, next, t) {
-			return res, true, t
-		}
-		if p := in.lossOn(at, next); p > 0 && in.unit(drawLoss, id, att, hop) < p {
-			return res, true, t
-		}
-		// ...and arrives after the hop's latency, when the receiving
-		// node must be up.
-		t += in.hopLatency(id, att, hop)
-		if !in.nodeUp(next, t) {
-			return res, true, t
-		}
-		b := nh.Bits()
-		if b > res.MaxHeaderBits {
-			res.MaxHeaderBits = b
-		}
-		if tr != nil {
-			tr.Hops = append(tr.Hops, trace.Hop{
-				From:       int32(at),
-				To:         int32(next),
-				Phase:      sim.PhaseOf(nh),
-				HeaderBits: int32(b),
-				Dist:       w,
-			})
-		}
-		h = nh
-		res.Path = append(res.Path, next)
-		res.Cost += w
-		at = next
-	}
+	f := &faults[H]{Recorder: sim.Recorder[H]{Trace: tr}, in: in, id: id, att: att, t: start}
+	lr := sim.Walk[H](g, r, src, dst, maxHops, f)
+	return f.Result(src, lr), lr.Dropped, f.t
 }
 
 // Deliver executes one delivery under the injector's faults with the

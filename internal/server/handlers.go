@@ -116,27 +116,13 @@ func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
 		e.badRequest(w, "bad request body: %v", err)
 		return
 	}
+	// With omit_path the query takes the shape-only route the TCP plane
+	// answers with; a traced query records its walk either way.
 	wantTrace := r.URL.Query().Get("trace") == "1"
-	start := time.Now()
-	var res RouteResult
-	var err error
-	if wantTrace {
-		res, err = e.RouteTraced(req.Scheme, req.Src, req.Dst)
-	} else {
-		res, err = e.Route(req.Scheme, req.Src, req.Dst)
-	}
-	elapsed := time.Since(start)
-	e.met.routeLatency.Observe(elapsed)
-	e.met.routes.Add(1)
+	res, err := e.answer(req.Scheme, req.Src, req.Dst, !req.OmitPath, wantTrace)
 	if err != nil {
-		e.met.routeErrors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
 		return
-	}
-	if res.Cached {
-		e.met.routeLatencyHit.Observe(elapsed)
-	} else {
-		e.met.routeLatencyMiss.Observe(elapsed)
 	}
 	if req.OmitPath {
 		res.Path = nil
@@ -163,11 +149,12 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	results, sum := e.RouteBatch(req.Scheme, req.Pairs)
+	results, sum := e.routeBatch(req.Scheme, req.Pairs, req.IncludePaths)
 	e.met.batchLatency.Observe(time.Since(start))
 	e.met.batchRoutes.Add(uint64(len(req.Pairs)))
-	e.met.routeErrors.Add(uint64(sum.Errors))
 	if !req.IncludePaths {
+		// A pair answered from a slot filled by a path query carries
+		// the path; the response still leaves it out.
 		for i := range results {
 			results[i].Path = nil
 		}

@@ -1,80 +1,19 @@
 package server
 
-import (
-	"time"
-
-	"compactrouting/internal/frame"
-)
+import "compactrouting/internal/frame"
 
 // RouteLite answers one binary-plane query: scheme addressed by compile
-// order index, result as a wire shape (no path). The happy path — slot
-// cache hit or sim.RouteLite miss — performs zero heap allocations;
-// TestFramedRoutePathAllocs pins the full decode→route→encode cycle at
-// 0 allocs/op for both outcomes. Latency and route-shape observations
-// land in the same metrics block the HTTP handlers feed, so /metrics
-// aggregates both protocols.
-//
-// When the engine runs with fault injection or trace sampling, the
-// query falls back to the full route path (allocating) so chaos draws
-// and sampled traces stay globally consistent across protocols.
+// order index, result as a wire shape (no path). It is Engine.route
+// without a path or trace, so a cache hit or a sim.RouteLite miss
+// performs zero heap allocations; TestFramedRoutePathAllocs pins the
+// full decode→route→encode cycle at 0 allocs/op for both outcomes.
+// Counts, latency and route-shape observations land in the same
+// metrics block the HTTP handlers feed, so /metrics aggregates both
+// protocols.
 //
 //determinlint:hotpath
 func (e *Engine) RouteLite(schemeIdx, src, dst int) frame.RouteResult {
-	st := e.st.Load()
-	if schemeIdx < 0 || schemeIdx >= len(st.list) {
-		e.met.routeErrors.Add(1)
-		return frame.RouteResult{Status: frame.StatusBadScheme}
-	}
-	n := st.nw.N()
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		e.met.routeErrors.Add(1)
-		return frame.RouteResult{Status: frame.StatusBadPair}
-	}
-	name := st.order[schemeIdx]
-	if e.chaos != nil || e.traceSample > 0 {
-		//determinlint:allow hotpath the chaos/trace fallback is the documented allocating path: it runs only when fault injection or sampling is enabled, never in the pinned zero-alloc configuration
-		full, err := e.route(name, src, dst, false)
-		if err != nil {
-			e.met.routeErrors.Add(1)
-			return frame.RouteResult{Status: frame.StatusRouteFailed}
-		}
-		return frame.RouteResult{
-			Status:        frame.StatusOK,
-			Cached:        full.Cached,
-			Hops:          int32(full.Hops),
-			MaxHeaderBits: int32(full.MaxHeaderBits),
-			Cost:          full.Cost,
-			Optimal:       full.Optimal,
-		}
-	}
-	start := time.Now()
-	if e.lite != nil {
-		if res, ok := e.lite.get(schemeIdx, src, dst, st.gen); ok {
-			res.Cached = true
-			e.met.routeLatency.Observe(time.Since(start))
-			e.met.routeLatencyHit.Observe(time.Since(start))
-			return res
-		}
-	}
-	lr := st.list[schemeIdx].runLite(src, dst)
-	if lr.Err != nil {
-		e.met.routeErrors.Add(1)
-		return frame.RouteResult{Status: frame.StatusRouteFailed}
-	}
-	opt := st.nw.Dist(src, dst)
-	res := frame.RouteResult{
-		Status:        frame.StatusOK,
-		Hops:          int32(lr.Hops),
-		MaxHeaderBits: int32(lr.MaxHeaderBits),
-		Cost:          lr.Cost,
-		Optimal:       opt,
-	}
-	e.met.observeRoute(name, stretch(lr.Cost, opt), lr.Hops, lr.MaxHeaderBits)
-	if e.lite != nil {
-		e.lite.put(schemeIdx, src, dst, st.gen, res)
-	}
-	e.met.routeLatency.Observe(time.Since(start))
-	e.met.routeLatencyMiss.Observe(time.Since(start))
+	res, _, _ := e.route(e.st.Load(), schemeIdx, src, dst, false, false)
 	return res
 }
 

@@ -140,9 +140,9 @@ func (h *valueHist) Snapshot() ValueHistogramSnapshot {
 type metrics struct {
 	start        time.Time     // guarded by init
 	requests     atomic.Uint64 // guarded by atomic; HTTP requests accepted
-	routes       atomic.Uint64 // guarded by atomic; single route queries served
-	batchRoutes  atomic.Uint64 // guarded by atomic; routes served inside batches
-	routeErrors  atomic.Uint64 // guarded by atomic; route queries that failed
+	routes       atomic.Uint64 // guarded by atomic; route queries answered, any plane (counted in Engine.route)
+	batchRoutes  atomic.Uint64 // guarded by atomic; the HTTP routes served inside batches
+	routeErrors  atomic.Uint64 // guarded by atomic; route queries that failed (counted in Engine.route)
 	badRequests  atomic.Uint64 // guarded by atomic; malformed HTTP requests
 	reloads      atomic.Uint64 // guarded by atomic; graph reloads performed
 	inFlight     atomic.Int64  // guarded by atomic; requests currently being served
@@ -156,7 +156,8 @@ type metrics struct {
 	routeLatencyMiss histogram // guarded by atomic; latency of computed route requests
 
 	// Binary serving plane (framed TCP) counters; route-level counts
-	// share routes/routeErrors above so per-scheme totals stay unified.
+	// share routes/routeErrors and the route latency histograms above,
+	// which Engine.route feeds for both planes.
 	tcpConns     atomic.Int64  // guarded by atomic; open TCP connections
 	tcpFrames    atomic.Uint64 // guarded by atomic; frames answered
 	tcpRoutes    atomic.Uint64 // guarded by atomic; route queries served over TCP
@@ -283,6 +284,18 @@ func (m *metrics) observeRoute(scheme string, stretch float64, hops, headerBits 
 	m.headerHist.Observe(float64(headerBits))
 }
 
+// observeChaos records one fault-injected delivery: what the injector
+// destroyed and what the retry layer spent.
+func (m *metrics) observeChaos(w walked) {
+	m.chaosDrops.Add(uint64(w.drops))
+	if w.attempts > 1 {
+		m.chaosRetries.Add(uint64(w.attempts - 1))
+	}
+	if w.Err != nil {
+		m.chaosFailed.Add(1)
+	}
+}
+
 // observeTrace folds one sampled trace into the phase decomposition.
 func (m *metrics) observeTrace(t *trace.Trace) {
 	m.tracesSampled.Add(1)
@@ -296,10 +309,9 @@ func (m *metrics) observeTrace(t *trace.Trace) {
 	}
 }
 
-func (m *metrics) snapshot(c *routeCache, lite *liteCache) MetricsSnapshot {
-	hits, misses, evicted, size := c.Stats()
-	lh, lm := lite.stats()
-	cs := CacheSnapshot{Hits: hits + lh, Misses: misses + lm, Evicted: evicted, Size: size}
+func (m *metrics) snapshot(c *liteCache) MetricsSnapshot {
+	hits, misses, evicted, size := c.stats()
+	cs := CacheSnapshot{Hits: hits, Misses: misses, Evicted: evicted, Size: size}
 	if total := hits + misses; total > 0 {
 		cs.HitRate = float64(hits) / float64(total)
 	}

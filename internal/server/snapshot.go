@@ -73,7 +73,7 @@ func NewFromSnapshot(cfg Config, f *snapshot.File) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{nw: nw, seed: f.Seed, gen: f.Generation, schemes: make(map[string]*scheme)}
+	st := newState(nw, f.Seed, f.Generation)
 	for _, sb := range f.Schemes {
 		r := bits.NewReader(sb.Data, sb.Bits)
 		impl, err := snapshot.DecodeScheme(r, sb.Name, nw.Graph(), nw.Distancer())
@@ -87,9 +87,7 @@ func NewFromSnapshot(cfg Config, f *snapshot.File) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: restore %s: %w", sb.Name, err)
 		}
-		st.schemes[sb.Name] = sch
-		st.order = append(st.order, sb.Name)
-		st.list = append(st.list, sch)
+		st.add(sb.Name, sch)
 	}
 	e.st.Store(st)
 	return e, nil
