@@ -18,7 +18,7 @@ func harvest[H sim.Header](t testing.TB, r sim.Router[H], pairs [][2]int, maxHop
 	t.Helper()
 	var out []H
 	for _, p := range pairs {
-		h, err := r.Prepare(p[1])
+		h, err := r.PrepareHeader(p[1])
 		if err != nil {
 			t.Fatalf("Prepare(%d): %v", p[1], err)
 		}

@@ -20,7 +20,7 @@ func harvest[H sim.Header](t testing.TB, r sim.Router[H], addr func(int) int, pa
 	t.Helper()
 	var out []H
 	for _, p := range pairs {
-		h, err := r.Prepare(addr(p[1]))
+		h, err := r.PrepareHeader(addr(p[1]))
 		if err != nil {
 			t.Fatalf("Prepare(%d): %v", p[1], err)
 		}
