@@ -121,6 +121,7 @@ routeload-determinism:
 # one -fuzz target per invocation, hence the loop.
 fuzz-smoke:
 	@for spec in \
+		"./internal/bits FuzzBitsCodec" \
 		"./internal/labeled FuzzDecodeSimpleHeader" \
 		"./internal/labeled FuzzDecodeSFHeader" \
 		"./internal/nameind FuzzDecodeNIHeader" \
