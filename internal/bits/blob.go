@@ -12,9 +12,17 @@ func (w *Writer) WriteBlob(buf []byte, nbit int) {
 	}
 	w.WriteUvarint(uint64(nbit))
 	full := nbit / 8
-	for k := 0; k < full; k++ {
-		w.WriteBits(uint64(buf[k]), 8)
+	if off := uint(w.nbit % 8); off == 0 {
+		w.buf = append(w.buf, buf[:full]...)
+	} else {
+		// Each source byte ends the partial last byte and starts a
+		// new one.
+		for _, b := range buf[:full] {
+			w.buf[len(w.buf)-1] |= b >> off
+			w.buf = append(w.buf, b<<(8-off))
+		}
 	}
+	w.nbit += 8 * full
 	if rem := nbit % 8; rem > 0 {
 		w.WriteBits(uint64(buf[full]>>uint(8-rem)), rem)
 	}
@@ -35,19 +43,20 @@ func (r *Reader) ReadBlob() ([]byte, int, error) {
 	n := int(nbit)
 	buf := make([]byte, (n+7)/8)
 	full := n / 8
-	for k := 0; k < full; k++ {
-		b, err := r.ReadBits(8)
-		if err != nil {
-			return nil, 0, err
+	i := r.pos / 8
+	if off := uint(r.pos % 8); off == 0 {
+		copy(buf[:full], r.buf[i:i+full])
+	} else {
+		// Merge each payload byte from the tail of one stream byte
+		// and the head of the next.
+		for k := range buf[:full] {
+			buf[k] = r.buf[i+k]<<off | r.buf[i+k+1]>>(8-off)
 		}
-		buf[k] = byte(b)
 	}
+	r.pos += 8 * full
 	if rem := n % 8; rem > 0 {
-		b, err := r.ReadBits(rem)
-		if err != nil {
-			return nil, 0, err
-		}
-		buf[full] = byte(b << uint(8-rem))
+		buf[full] = byte(r.peek(rem) << uint(8-rem))
+		r.pos += rem
 	}
 	return buf, n, nil
 }
