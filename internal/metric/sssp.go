@@ -1,8 +1,9 @@
 package metric
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"compactrouting/internal/graph"
 )
@@ -132,15 +133,19 @@ func (s *sssp) nextDist() float64 {
 // whose settle order rounding disturbed need it.
 func (s *sssp) sortOrder() { sortByDist(s.order, s.dist) }
 
-// sortByDist sorts nodes by (dist[v], v), the order-row order.
+// sortByDist sorts nodes by (dist[v], v), the order-row order. Ids are
+// distinct, so (distance, id) is a strict total order and the result
+// does not depend on the sort algorithm.
 func sortByDist(nodes []int32, dist []float64) {
-	sort.Slice(nodes, func(i, j int) bool {
-		a, b := nodes[i], nodes[j]
+	slices.SortFunc(nodes, func(a, b int32) int {
 		//determinlint:allow floateq deliberate exact tie-break: (distance, id) ordering must be bit-reproducible
-		if dist[a] != dist[b] {
-			return dist[a] < dist[b]
+		if da, db := dist[a], dist[b]; da != db {
+			if da < db {
+				return -1
+			}
+			return 1
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 }
 
