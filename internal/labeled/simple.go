@@ -101,10 +101,12 @@ func NewSimple(g *graph.Graph, a metric.Distancer, eps float64) (*Simple, error)
 // The ring build is center-first: instead of intersecting every node's
 // ball with Y_i, each net point x ∈ Y_i scatters itself into the ring
 // of every node of B_x(radius). Membership and next hops then read only
-// center rows — Dist(x, v), and NextHop(v, x) which is column v of x's
-// own tree — so the lazy backend builds |Y_i| truncated rows per level
-// (prefetched in parallel) instead of one full row per node. Sweeping
-// centers in ascending id appends each ring already sorted by x.
+// center rows — the ball of x, and NextHop(v, x) which is v's parent in
+// x's own tree — so the lazy backend builds |Y_i| truncated rows per
+// level, each once, through metric.SweepBalls (built in parallel,
+// visited in order, never cached) instead of one full row per node.
+// Sweeping centers in ascending id appends each ring already sorted by
+// x.
 func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64) (*Simple, error) {
 	core.NoteSchemeBuild()
 	if eps <= 0 || eps > 0.5 {
@@ -127,18 +129,15 @@ func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64
 	for v := 0; v < n; v++ {
 		s.rings[v] = make([][]ringEntry, h.TopLevel()+1)
 	}
-	var scratch []int
 	centers := make([]int, 0, n)
 	for i := 0; i <= h.TopLevel(); i++ {
 		radius := s.ringFactor * h.Radius(i) / s.eps
 		centers = append(centers[:0], h.Levels[i]...)
 		sort.Ints(centers)
-		metric.PrefetchBalls(a, centers, radius)
-		for _, x := range centers {
+		metric.SweepBalls(a, centers, radius, func(x int, ball metric.BallRow) {
 			rg, _ := nt.Range(x, i)
-			scratch = a.AppendBall(scratch[:0], x, radius)
-			for _, v := range scratch {
-				next := a.NextHop(v, x)
+			for k, v := range ball.Nodes {
+				next := int32(ball.Parent(k))
 				if next < 0 {
 					next = v // x == v: the entry's hop is never followed
 				}
@@ -146,10 +145,10 @@ func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64
 					x:    int32(x),
 					lo:   int32(rg.Lo),
 					hi:   int32(rg.Hi),
-					next: int32(next),
+					next: next,
 				})
 			}
-		}
+		})
 	}
 	// The bit accounting is embarrassingly parallel: iteration v reads
 	// only rings[v] and writes only tblBit[v] (see EncodeTable for the

@@ -27,8 +27,11 @@ import (
 // scheduling (lazy_property_test.go pins this).
 //
 // All methods are safe for concurrent use; a single mutex serializes
-// cache access and cold-miss construction. For sweep-shaped workloads,
-// PrefetchBalls shards cold rows over internal/par first.
+// cache access and cold-miss construction. Sweep-shaped construction
+// (every center reads its own ball once) goes through SweepBalls,
+// which builds rows on the worker pool and never touches the cache;
+// PrefetchBalls warms the cache for callers that query rows point by
+// point.
 type LazyOracle struct {
 	g       *graph.Graph
 	n       int
@@ -48,13 +51,16 @@ type LazyOracle struct {
 // LazyStats counts the lazy oracle's work since construction. Every
 // field is a pure function of the query sequence: rows are built and
 // evicted in the same order at any GOMAXPROCS (PrefetchBalls installs
-// serially), so two runs of one workload report the same numbers.
+// serially, SweepBalls counts in source order), so two runs of one
+// workload report the same numbers.
 type LazyStats struct {
 	// Hits counts queries answered from a cached row without running
 	// the kernel.
 	Hits uint64
-	// RowsBuilt counts truncated Dijkstra runs (cold misses, row
-	// extensions and prefetched rows).
+	// RowsBuilt counts truncated Dijkstra runs: cold misses, row
+	// extensions, prefetched rows, and one per source a SweepBalls
+	// visits (sweep rows are built, read once and dropped, so they add
+	// no hits, cached entries or evictions).
 	RowsBuilt uint64
 	// Settled sums the entries those runs settled.
 	Settled uint64

@@ -35,10 +35,11 @@ import (
 // inclusive, so the strict boundary is re-checked with Dist(y, m) < r —
 // a cache hit on the lazy backend, whose row is already built past m.
 // Seed balls commute with the greedy (a candidate near a seed is
-// rejected no matter what was accepted before it) and are prefetched in
-// parallel; each acceptance then marks its own ball before the scan
-// moves on, reproducing the serial greedy bit for bit while touching
-// only ball-local state.
+// rejected no matter what was accepted before it), so they are marked
+// first in one metric.SweepBalls pass (rows built in parallel, read
+// once, never cached); each acceptance then marks its own ball before
+// the scan moves on, reproducing the serial greedy bit for bit while
+// touching only ball-local state.
 func Net(a metric.Distancer, r float64, seed, candidates []int) []int {
 	n := a.N()
 	out := make([]int, 0, len(seed)+8)
@@ -59,10 +60,13 @@ func Net(a metric.Distancer, r float64, seed, candidates []int) []int {
 			}
 		}
 	}
-	metric.PrefetchBalls(a, seed, r)
-	for _, y := range seed {
-		mark(y)
-	}
+	metric.SweepBalls(a, seed, r, func(_ int, ball metric.BallRow) {
+		for k, m := range ball.Nodes {
+			if ball.Dist(k) < r {
+				covered[m] = true
+			}
+		}
+	})
 	for _, v := range candidates {
 		if !covered[v] {
 			out = append(out, v)
@@ -173,10 +177,10 @@ func (h *Hierarchy) finish() {
 	// ball too). Minimizing (dist, id) per member over the sweep is
 	// therefore bit-identical to the full scan, but touches only
 	// ball-local state: the lazy backend builds |Y_{i+1}| truncated rows
-	// (prefetched in parallel) instead of extending every member's row.
+	// (one metric.SweepBalls pass) instead of extending every member's
+	// row.
 	bestD := make([]float64, n)
 	best := make([]int32, n)
-	var scratch []int
 	for i := 0; i < h.L; i++ {
 		h.zoomParent[i] = make([]int32, n)
 		for v := range h.zoomParent[i] {
@@ -189,20 +193,18 @@ func (h *Hierarchy) finish() {
 			best[v] = -1
 			bestD[v] = math.Inf(1)
 		}
-		metric.PrefetchBalls(h.a, coarse, r)
-		for _, y := range coarse {
-			scratch = h.a.AppendBall(scratch[:0], y, r)
-			for _, m := range scratch {
+		metric.SweepBalls(h.a, coarse, r, func(y int, ball metric.BallRow) {
+			for k, m := range ball.Nodes {
 				if h.pos[i][m] < 0 {
 					continue
 				}
-				d := h.a.Dist(y, m)
+				d := ball.Dist(k)
 				//determinlint:allow floateq deliberate exact tie-break: must reproduce Nearest's (distance, id) minimization bit for bit
 				if d < bestD[m] || (d == bestD[m] && int32(y) < best[m]) {
 					bestD[m], best[m] = d, int32(y)
 				}
 			}
-		}
+		})
 		for _, v := range lv {
 			if best[v] < 0 {
 				// Externally elected levels (NewHierarchyFromLevels) may
