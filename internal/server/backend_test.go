@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"compactrouting"
@@ -128,5 +130,40 @@ func TestSnapshotRoundTripBothBackends(t *testing.T) {
 				t.Fatalf("%s cold start ran %d scheme constructors", backend, after-before)
 			}
 		})
+	}
+}
+
+// TestMetricsDistanceBlock pins the /metrics distance block: absent on
+// the dense backend, present on the lazy one, where it carries the
+// oracle's construction work and moves when a served route queries the
+// metric.
+func TestMetricsDistanceBlock(t *testing.T) {
+	dense := backendEngine(t, compactrouting.BackendDense, "simple-labeled")
+	if d := dense.Metrics().Distance; d != nil {
+		t.Fatalf("dense engine reports a distance block: %+v", d)
+	}
+	body, err := json.Marshal(dense.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(body), `"distance"`) {
+		t.Fatalf("dense /metrics carries a distance key: %s", body)
+	}
+
+	lazy := backendEngine(t, compactrouting.BackendLazy, "simple-labeled")
+	before := lazy.Metrics().Distance
+	if before == nil || before.Backend != "lazy" || before.RowsBuilt == 0 || before.Settled < before.RowsBuilt {
+		t.Fatalf("lazy engine's distance block does not show the build: %+v", before)
+	}
+	n := lazy.Graph().Nodes
+	if _, err := lazy.Route("simple-labeled", 0, n-1); err != nil {
+		t.Fatal(err)
+	}
+	after := lazy.Metrics().Distance
+	if after.Hits+after.RowsBuilt <= before.Hits+before.RowsBuilt {
+		t.Fatalf("a lazy route query left the distance counters still: %+v -> %+v", before, after)
+	}
+	if after.CachedEntries == 0 {
+		t.Fatalf("lazy oracle reports an empty row cache after serving: %+v", after)
 	}
 }

@@ -738,5 +738,16 @@ func (e *Engine) Metrics() MetricsSnapshot {
 	snap.Schemes = append([]string(nil), st.order...)
 	sort.Strings(snap.Schemes)
 	snap.Trace.SampleEvery = e.traceSample
+	if lz, ok := st.nw.Distancer().(*metric.LazyOracle); ok {
+		ls := lz.Stats()
+		snap.Distance = &DistanceSnapshot{
+			Backend:       string(compactrouting.BackendLazy),
+			Hits:          ls.Hits,
+			RowsBuilt:     ls.RowsBuilt,
+			Settled:       ls.Settled,
+			Evictions:     ls.Evictions,
+			CachedEntries: lz.CachedEntries(),
+		}
+	}
 	return snap
 }

@@ -200,6 +200,23 @@ type MetricsSnapshot struct {
 	Chaos            ChaosSnapshot        `json:"chaos"`
 	Generation       uint64               `json:"generation"`
 	Schemes          []string             `json:"schemes"`
+	// Distance is the lazy distance oracle's work since it was created
+	// (the network's build, then cold serving queries); nil (omitted)
+	// on the dense backend, whose queries are matrix reads.
+	Distance *DistanceSnapshot `json:"distance,omitempty"`
+}
+
+// DistanceSnapshot reports the lazy oracle's counters (see
+// metric.LazyStats): rows built and entries settled by construction
+// and by cold serving queries, cache hits and evictions, and the
+// entries the row cache holds now.
+type DistanceSnapshot struct {
+	Backend       string `json:"backend"`
+	Hits          uint64 `json:"hits"`
+	RowsBuilt     uint64 `json:"rows_built"`
+	Settled       uint64 `json:"settled"`
+	Evictions     uint64 `json:"evictions"`
+	CachedEntries int    `json:"cached_entries"`
 }
 
 // TraceMetricsSnapshot reports the tracing-derived distributions: the
