@@ -95,10 +95,14 @@ routebench-determinism:
 # Same gate on the lazy backend: its answers come from truncated
 # Dijkstra rows derived on demand behind a shared LRU, so the JSON
 # must be byte-stable across runs regardless of query arrival order,
-# cache evictions, or the prefetch workers' schedule. Run twice and
-# diff, on the power-law family the backend exists for.
+# cache evictions, or the prefetch and sweep workers' schedule. Run
+# twice and diff, on the power-law family the backend exists for. At
+# n=48 every net level fits one window of the parallel ball sweep
+# (metric.SweepBalls); n=256 runs levels of many windows, so workers
+# build rows ahead of the in-order visitor.
 routebench-lazy-determinism:
 	$(call double-run,$(GO) run ./cmd/routebench -json $$out -backend lazy -graph power-law -n 48 -pairs 60 -seed 11 -timing=false -trace >/dev/null,routebench -json -backend=lazy is not deterministic,routebench lazy determinism: ok)
+	$(call double-run,$(GO) run ./cmd/routebench -json $$out -backend lazy -graph power-law -n 256 -pairs 60 -seed 11 -timing=false -trace >/dev/null,routebench -json -backend=lazy -n 256 is not deterministic,routebench lazy determinism n=256: ok)
 
 # The in-network construction must be seed-deterministic: engine
 # delivery is serialized in sender-id order and fault draws are pure
