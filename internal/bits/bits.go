@@ -12,7 +12,9 @@
 // boundary. The codec moves whole bytes and 64-bit words rather than
 // single bits: Writer fills up to 8 bits of the last byte per step, and
 // Reader loads a big-endian 64-bit window whenever 8 bytes of buffer
-// remain, falling back to byte chunks near the end. Every stream is
+// remain, falling back to byte chunks near the end. At a byte-aligned
+// position, uvarints and runs of 64-bit words (ReadWords) are read as
+// whole bytes straight from the buffer. Every stream is
 // bit-identical to the one a bit-at-a-time codec would produce (pinned
 // against such a reference by FuzzBitsCodec).
 package bits
@@ -169,12 +171,49 @@ func (r *Reader) peek(n int) uint64 {
 	return v
 }
 
-// ReadUvarint consumes a varint written by WriteUvarint.
+// ReadWords consumes len(dst) 64-bit values, as len(dst) calls of
+// ReadBits(64) would: at a byte-aligned position each value is one
+// big-endian load straight from the buffer, elsewhere it is one
+// ReadBits(64). A stream shorter than dst fills the prefix of whole
+// values that remain, consumes the rest of the stream and returns
+// ErrOutOfData.
+func (r *Reader) ReadWords(dst []uint64) error {
+	if r.pos%8 != 0 {
+		for i := range dst {
+			v, err := r.ReadBits(64)
+			if err != nil {
+				return err
+			}
+			dst[i] = v
+		}
+		return nil
+	}
+	k := min(len(dst), (r.nbit-r.pos)/64)
+	src := r.buf[r.pos/8 : r.pos/8+8*k]
+	for i := range dst[:k] {
+		dst[i] = binary.BigEndian.Uint64(src[8*i:])
+	}
+	r.pos += 64 * k
+	if k < len(dst) {
+		r.pos = r.nbit
+		return ErrOutOfData
+	}
+	return nil
+}
+
+var errUvarintOverflow = errors.New("bits: uvarint overflows uint64")
+
+// ReadUvarint consumes a varint written by WriteUvarint. At a
+// byte-aligned position every group is a whole byte of the buffer, so
+// it reads bytes directly; elsewhere each group is one ReadBits(8).
 func (r *Reader) ReadUvarint() (uint64, error) {
+	if r.pos%8 == 0 {
+		return r.readAlignedUvarint()
+	}
 	var v uint64
 	for shift := uint(0); ; shift += 7 {
 		if shift > 63 {
-			return 0, errors.New("bits: uvarint overflows uint64")
+			return 0, errUvarintOverflow
 		}
 		grp, err := r.ReadBits(8)
 		if err != nil {
@@ -182,6 +221,31 @@ func (r *Reader) ReadUvarint() (uint64, error) {
 		}
 		v |= grp & 0x7f << shift
 		if grp < 0x80 {
+			return v, nil
+		}
+	}
+}
+
+// readAlignedUvarint is ReadUvarint at a byte-aligned position, with
+// the same results, errors and final position: a group needs 8 whole
+// bits of stream, and a short one consumes the rest of the stream.
+func (r *Reader) readAlignedUvarint() (uint64, error) {
+	i, end := r.pos/8, r.nbit/8
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		if shift > 63 {
+			r.pos = 8 * i
+			return 0, errUvarintOverflow
+		}
+		if i >= end {
+			r.pos = r.nbit
+			return 0, ErrOutOfData
+		}
+		grp := r.buf[i]
+		i++
+		v |= uint64(grp&0x7f) << shift
+		if grp < 0x80 {
+			r.pos = 8 * i
 			return v, nil
 		}
 	}

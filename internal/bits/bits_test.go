@@ -2,6 +2,7 @@ package bits
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -403,10 +404,13 @@ const (
 	opGamma
 	opBlob
 	opReset // write side only
+	opWords // read side only: ReadWords of n words
 )
 
 // codecOp is one operation; on the read side n is the ReadBits width
-// and v (or blob) the value the written stream should yield.
+// (the word count for ReadWords) and v (or blob) the value the written
+// stream should yield. ReadWords values travel as their big-endian
+// bytes in blob.
 type codecOp struct {
 	kind int
 	v    uint64
@@ -435,7 +439,7 @@ func nextOp(s *script, write bool) codecOp {
 		if o.v == 0 {
 			o.v = 1
 		}
-	case b < 0xf0 || !write:
+	case b < 0xf0 || (!write && b < 0xf8):
 		o = codecOp{kind: opBlob, n: int(s.byte()) * 3}
 		seed := s.byte()
 		// Extra bytes past the payload and stray low bits in its last
@@ -444,10 +448,21 @@ func nextOp(s *script, write bool) codecOp {
 		for i := range o.blob {
 			o.blob[i] = byte(i*151) ^ seed
 		}
+	case !write:
+		o = codecOp{kind: opWords, n: int(s.byte() % 9)}
 	default:
 		o = codecOp{kind: opReset}
 	}
 	return o
+}
+
+// wordBytes is the big-endian byte form of words.
+func wordBytes(words []uint64) []byte {
+	out := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		out = binary.BigEndian.AppendUint64(out, w)
+	}
+	return out
 }
 
 // diffWrite applies ops to a Writer and a refWriter and fails at the
@@ -522,6 +537,16 @@ func diffRead(t testing.TB, buf []byte, nbit int, ops []codecOp) []codecOp {
 		case opBlob:
 			blob, n, err = r.ReadBlob()
 			rblob, rn, rerr = ref.readBlob()
+		case opWords:
+			words, rwords := make([]uint64, o.n), make([]uint64, o.n)
+			err = r.ReadWords(words)
+			for k := range rwords {
+				if rwords[k], rerr = ref.readBits(64); rerr != nil {
+					break
+				}
+			}
+			blob, rblob = wordBytes(words), wordBytes(rwords)
+			n, rn = o.n, o.n
 		}
 		if fmt.Sprint(err) != fmt.Sprint(rerr) || errors.Is(err, ErrOutOfData) != errors.Is(rerr, ErrOutOfData) {
 			t.Fatalf("op %d %+v over %d bits: err %v, reference %v", i, o, nbit, err, rerr)
@@ -539,10 +564,11 @@ func diffRead(t testing.TB, buf []byte, nbit int, ops []codecOp) []codecOp {
 }
 
 // readBack maps written ops to the reads that decode them, with the
-// values those reads must return.
+// values those reads must return. A run of two or more 64-bit writes
+// is read back by one ReadWords.
 func readBack(ops []codecOp) []codecOp {
 	var out []codecOp
-	for _, o := range ops {
+	for i, o := range ops {
 		switch o.kind {
 		case opReset:
 			out = out[:0]
@@ -550,6 +576,15 @@ func readBack(ops []codecOp) []codecOp {
 			v := o.v
 			if o.n < 64 {
 				v &= 1<<uint(o.n) - 1
+			}
+			if o.n == 64 && i > 0 && ops[i-1].kind == opBits && ops[i-1].n == 64 {
+				last := &out[len(out)-1]
+				if last.kind == opBits {
+					*last = codecOp{kind: opWords, n: 1, blob: wordBytes([]uint64{last.v})}
+				}
+				last.n++
+				last.blob = binary.BigEndian.AppendUint64(last.blob, v)
+				continue
 			}
 			out = append(out, codecOp{kind: opBits, v: v, n: o.n})
 		case opBlob:
@@ -612,8 +647,10 @@ func runCodecScript(t testing.TB, data []byte) {
 
 // TestCodecMatchesReference drives runCodecScript with random scripts,
 // then checks ReadBits exhaustively at every width and start offset
-// on short streams, where the 8-byte window does not fit, and
-// ReadGamma at every start offset on zero runs longer than a window.
+// on short streams, where the 8-byte window does not fit, ReadGamma at
+// every start offset on zero runs longer than a window, and ReadWords
+// and ReadUvarint at every start offset, byte-aligned or not, over
+// streams whose tails cut words and varints short.
 func TestCodecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 2000; i++ {
@@ -653,6 +690,28 @@ func TestCodecMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// An all-ones stream is one endless varint, so aligned and
+	// unaligned starts both reach the overflow error.
+	ones := bytes.Repeat([]byte{0xff}, 33)
+	for _, size := range []int{0, 1, 8, 9, 17, 33} {
+		buf := make([]byte, size)
+		rng.Read(buf)
+		for _, src := range [][]byte{buf, ones[:size]} {
+			for nbit := max(8*size-9, 0); nbit <= 8*size; nbit++ {
+				for start := 0; start <= nbit; start++ {
+					var skip []codecOp
+					for k := start; k > 0; k -= 64 {
+						skip = append(skip, codecOp{kind: opBits, n: min(k, 64)})
+					}
+					skip = skip[:len(skip):len(skip)]
+					for words := 0; words <= 5; words++ {
+						diffRead(t, src[:(nbit+7)/8], nbit, append(skip, codecOp{kind: opWords, n: words}, codecOp{kind: opUvarint}, codecOp{kind: opWords, n: 1}))
+					}
+					diffRead(t, src[:(nbit+7)/8], nbit, append(skip, codecOp{kind: opUvarint}, codecOp{kind: opUvarint}))
+				}
+			}
+		}
+	}
 }
 
 // corpusScripts seeds FuzzBitsCodec: one op of each kind, a script
@@ -673,6 +732,29 @@ func corpusScripts() [][]byte {
 		rng.Read(data)
 		out = append(out, data)
 	}
+	// 256 ops of 64-bit writes with a varint every eighth op (the last
+	// four ops are words),
+	// byte-aligned and then one bit off, read back through ReadWords and
+	// the aligned varint path, then re-read with the last `cut` bits
+	// gone (the 8 script bytes after the ops); and garbage reads with
+	// ReadWords ops (0xf8 and up on the read side).
+	words := func(lead []byte, cut byte) []byte {
+		out := append([]byte(nil), lead...)
+		for k := len(lead) / 2; k < 256; k++ {
+			if k%8 == 3 {
+				out = append(out, 0x80, byte(k), 0x81, 1, 2, 3, 4, 5, 6, byte(k))
+			} else {
+				out = append(out, 0x40, 64, byte(k), 1, 2, 3, 4, 5, 6, 7)
+			}
+		}
+		return append(out, 0, 0, 0, 0, 0, 0, 0, cut)
+	}
+	out = append(out,
+		words(nil, 5),
+		words([]byte{0x00, 0x01}, 37),
+		[]byte{0xf8, 3, 0xf9, 0, 0x80, 0x01, 0xfa, 8, 0x00, 0x01, 0xfb, 2, 0xfc, 5, 0x40, 7, 0xfd, 1, 0xfe, 4, 0xff, 8,
+			0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0xf8, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+	)
 	return out
 }
 

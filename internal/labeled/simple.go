@@ -105,8 +105,7 @@ func NewSimple(g *graph.Graph, a metric.Distancer, eps float64) (*Simple, error)
 // x's own tree — so the lazy backend builds |Y_i| truncated rows per
 // level, each once, through metric.SweepBalls (built in parallel,
 // visited in order, never cached) instead of one full row per node.
-// Sweeping centers in ascending id appends each ring already sorted by
-// x.
+// Sweeping centers in ascending id leaves each ring sorted by x.
 func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64) (*Simple, error) {
 	core.NoteSchemeBuild()
 	if eps <= 0 || eps > 0.5 {
@@ -129,26 +128,64 @@ func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64
 	for v := 0; v < n; v++ {
 		s.rings[v] = make([][]ringEntry, h.TopLevel()+1)
 	}
+	// Each level's sweep output is collected once, then counting-sorted
+	// by v into one exact-size backing slice; every ring is a capped
+	// window of it, holding v's entries in sweep (ascending x) order.
+	// The sweep keeps 8 bytes per entry (v and its next hop) plus one
+	// record per center, which the scatter expands into ring entries.
+	type sweptBall struct {
+		x, lo, hi int32
+		end       int // hops of this ball end here
+	}
+	type hop struct{ v, next int32 }
+	var (
+		balls []sweptBall
+		hops  []hop
+	)
+	off := make([]int, n)
 	centers := make([]int, 0, n)
 	for i := 0; i <= h.TopLevel(); i++ {
 		radius := s.ringFactor * h.Radius(i) / s.eps
 		centers = append(centers[:0], h.Levels[i]...)
 		sort.Ints(centers)
+		balls, hops = balls[:0], hops[:0]
 		metric.SweepBalls(a, centers, radius, func(x int, ball metric.BallRow) {
-			rg, _ := nt.Range(x, i)
 			for k, v := range ball.Nodes {
 				next := int32(ball.Parent(k))
 				if next < 0 {
 					next = v // x == v: the entry's hop is never followed
 				}
-				s.rings[v][i] = append(s.rings[v][i], ringEntry{
-					x:    int32(x),
-					lo:   int32(rg.Lo),
-					hi:   int32(rg.Hi),
-					next: next,
-				})
+				hops = append(hops, hop{v: v, next: next})
 			}
+			rg, _ := nt.Range(x, i)
+			balls = append(balls, sweptBall{x: int32(x), lo: int32(rg.Lo), hi: int32(rg.Hi), end: len(hops)})
 		})
+		clear(off)
+		for _, hp := range hops {
+			off[hp.v]++
+		}
+		sum := 0
+		for v, c := range off {
+			off[v] = sum
+			sum += c
+		}
+		backing := make([]ringEntry, len(hops))
+		start := 0
+		for _, b := range balls {
+			for _, hp := range hops[start:b.end] {
+				backing[off[hp.v]] = ringEntry{x: b.x, lo: b.lo, hi: b.hi, next: hp.next}
+				off[hp.v]++
+			}
+			start = b.end
+		}
+		// off[v] is now the end of v's ring and the start of v+1's.
+		lo := 0
+		for v, hi := range off {
+			if hi > lo {
+				s.rings[v][i] = backing[lo:hi:hi]
+			}
+			lo = hi
+		}
 	}
 	// The bit accounting is embarrassingly parallel: iteration v reads
 	// only rings[v] and writes only tblBit[v] (see EncodeTable for the

@@ -62,6 +62,24 @@ func BenchmarkNewAPSP(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoreAPSP measures the dense backend's restore from its
+// matrices, the metric share of a snapshot restore: every order row is
+// rebuilt by sorting, with no kernel run. Run it with
+// `go test ./internal/metric -run '^$' -bench RestoreAPSP -benchmem`.
+func BenchmarkRestoreAPSP(b *testing.B) {
+	a := NewAPSP(benchGraph(b, "geometric", 2048))
+	dist, nextHop := a.Matrices()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := RestoreAPSP(a.N(), dist, nextHop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkAPSP = r
+	}
+}
+
 // BenchmarkLazyDistCold measures the lazy backend's cold path: every
 // iteration asks a pair never asked before, sweeping sources so the
 // default cache (8 full rows) rarely holds the row, and each miss runs

@@ -12,7 +12,9 @@ import (
 // sequence; restore has no kernel run, so it sorts each distance row
 // by (distance, node id) — the order that sequence is (pinned on
 // tie-heavy grids by TestRestoreAPSPAgreesOnTies) — and a restored
-// oracle is indistinguishable from a freshly built one.
+// oracle is indistinguishable from a freshly built one. Rows are
+// strided over the worker pool like NewAPSP's sources, each worker
+// radix-sorting its rows on one reused scratch (sortByDist).
 //
 // The slices are retained, not copied.
 func RestoreAPSP(n int, dist []float64, nextHop []int32) (*APSP, error) {
@@ -28,12 +30,16 @@ func RestoreAPSP(n int, dist []float64, nextHop []int32) (*APSP, error) {
 		nextHop: nextHop,
 		order:   make([]int32, n*n),
 	}
-	par.For(n, func(u int) {
-		perm := a.order[u*n : (u+1)*n]
-		for i := range perm {
-			perm[i] = int32(i)
+	workers := par.SuggestedWorkers(n)
+	par.For(workers, func(w int) {
+		var ds distSorter
+		for u := w; u < n; u += workers {
+			perm := a.order[u*n : (u+1)*n]
+			for i := range perm {
+				perm[i] = int32(i)
+			}
+			ds.sortByDist(perm, a.dist[u*n:(u+1)*n])
 		}
-		sortByDist(perm, a.dist[u*n:(u+1)*n])
 	})
 	return a, nil
 }

@@ -1,9 +1,7 @@
 package metric
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"compactrouting/internal/graph"
 )
@@ -40,6 +38,8 @@ type sssp struct {
 	// unsorted records that the settle order left (distance, id) order
 	// (only possible through rounding, see above).
 	unsorted bool
+	// sorter is sortOrder's scratch, allocated on first use.
+	sorter *distSorter
 }
 
 // heapEntry is a queued node and its tentative distance; the pair is
@@ -131,22 +131,11 @@ func (s *sssp) nextDist() float64 {
 
 // sortOrder re-sorts the settled nodes by (distance, id); only runs
 // whose settle order rounding disturbed need it.
-func (s *sssp) sortOrder() { sortByDist(s.order, s.dist) }
-
-// sortByDist sorts nodes by (dist[v], v), the order-row order. Ids are
-// distinct, so (distance, id) is a strict total order and the result
-// does not depend on the sort algorithm.
-func sortByDist(nodes []int32, dist []float64) {
-	slices.SortFunc(nodes, func(a, b int32) int {
-		//determinlint:allow floateq deliberate exact tie-break: (distance, id) ordering must be bit-reproducible
-		if da, db := dist[a], dist[b]; da != db {
-			if da < db {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
+func (s *sssp) sortOrder() {
+	if s.sorter == nil {
+		s.sorter = new(distSorter)
+	}
+	s.sorter.sortByDist(s.order, s.dist)
 }
 
 // reset returns the scratch to clean. Every node the run touched is

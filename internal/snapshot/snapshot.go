@@ -239,13 +239,19 @@ func Decode(data []byte) (*File, error) {
 		if n*n*64 > uint64(r.Remaining()) {
 			return nil, fmt.Errorf("snapshot: dist matrix exceeds payload")
 		}
+		// Every field before the matrices is a whole number of bytes,
+		// so in a well-formed file both matrices start byte-aligned
+		// and ReadWords and ReadUvarint read them as whole bytes.
 		f.Dist = make([]float64, n*n)
-		for i := range f.Dist {
-			db, err := r.ReadBits(64)
-			if err != nil {
+		var words [512]uint64
+		for i := 0; i < len(f.Dist); i += len(words) {
+			chunk := words[:min(len(words), len(f.Dist)-i)]
+			if err := r.ReadWords(chunk); err != nil {
 				return nil, err
 			}
-			f.Dist[i] = math.Float64frombits(db)
+			for k, db := range chunk {
+				f.Dist[i+k] = math.Float64frombits(db)
+			}
 		}
 		f.NextHop = make([]int32, n*n)
 		for i := range f.NextHop {
