@@ -119,7 +119,9 @@ distsim-determinism:
 routeload-determinism:
 	$(call double-run,$(GO) run ./cmd/routeload -n 48 -pairs 60 -seed 11 -iters 5 -json -timing=false > $$out,routeload -json is not deterministic,routeload determinism: ok)
 
-# ~10s total: each codec fuzzer runs briefly from its seed corpus
+# ~10s total: each codec fuzzer, the lazy oracle's differential fuzzer
+# and the shortest-path kernel's queue fuzzer run briefly from their
+# seed corpus
 # (testdata/fuzz; regenerate with REGEN_FUZZ_CORPUS=1 go test
 # ./internal/... -run TestRegenFuzzCorpus). A fuzzer accepts exactly
 # one -fuzz target per invocation, hence the loop.
@@ -136,7 +138,8 @@ fuzz-smoke:
 		"./internal/dist FuzzDecodeMsg" \
 		"./internal/frame FuzzDecodeFrame" \
 		"./internal/snapshot FuzzDecodeSnapshot" \
-		"./internal/metric FuzzLazyBall"; do \
+		"./internal/metric FuzzLazyBall" \
+		"./internal/metric FuzzKernelQueue"; do \
 		set -- $$spec; \
 		$(GO) test $$1 -run '^$$' -fuzz "^$$2$$$$" -fuzztime 1s >/dev/null || \
 			{ echo "fuzz-smoke failed: $$2"; exit 1; }; \

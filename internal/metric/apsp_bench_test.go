@@ -47,12 +47,15 @@ var (
 )
 
 // BenchmarkNewAPSP measures the dense backend's whole build: n kernel
-// runs plus the matrix writes. Run it with
+// runs plus the matrix writes. The unit-weight 64x64 grid is the
+// tie-heavy case: every distance is a small integer, so each refill of
+// the kernel's queue moves a whole tie class into bucket 0, which pops
+// it in id order. Run it with
 // `go test ./internal/metric -run '^$' -bench NewAPSP -benchmem`.
 func BenchmarkNewAPSP(b *testing.B) {
-	for _, family := range []string{"geometric", "power-law"} {
-		b.Run(family+"/n2048", func(b *testing.B) {
-			g := benchGraph(b, family, 2048)
+	bench := func(name string, build func(testing.TB) *graph.Graph) {
+		b.Run(name, func(b *testing.B) {
+			g := build(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -60,6 +63,16 @@ func BenchmarkNewAPSP(b *testing.B) {
 			}
 		})
 	}
+	for _, family := range []string{"geometric", "power-law"} {
+		bench(family+"/n2048", func(tb testing.TB) *graph.Graph { return benchGraph(tb, family, 2048) })
+	}
+	bench("unit-grid/64x64", func(tb testing.TB) *graph.Graph {
+		g, err := graph.Grid(64, 64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return g
+	})
 }
 
 // BenchmarkRestoreAPSP measures the dense backend's restore from its
@@ -82,18 +95,25 @@ func BenchmarkRestoreAPSP(b *testing.B) {
 
 // BenchmarkLazyDistCold measures the lazy backend's cold path: every
 // iteration asks a pair never asked before, sweeping sources so the
-// default cache (8 full rows) rarely holds the row, and each miss runs
-// the kernel out to the target.
+// default cache rarely holds the row, and each miss runs the kernel out
+// to the target. At n=2048 the default budget is max(8n, 65,536) =
+// 65,536 entries, 32 full rows, against a sweep over all 2048 sources.
+// power-law is the lazy-uniform workload's graph; geometric is the
+// doubling family the dense workloads serve.
 func BenchmarkLazyDistCold(b *testing.B) {
-	g := benchGraph(b, "power-law", 2048)
-	n := g.N()
-	o := NewLazyOracle(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// i -> (u, v) is a bijection on the first n*n iterations.
-		u, k := i%n, (i/n)%n
-		sinkDist = o.Dist(u, (u+1+k)%n)
+	for _, family := range []string{"geometric", "power-law"} {
+		b.Run(family, func(b *testing.B) {
+			g := benchGraph(b, family, 2048)
+			n := g.N()
+			o := NewLazyOracle(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// i -> (u, v) is a bijection on the first n*n iterations.
+				u, k := i%n, (i/n)%n
+				sinkDist = o.Dist(u, (u+1+k)%n)
+			}
+		})
 	}
 }
 

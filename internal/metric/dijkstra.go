@@ -25,7 +25,7 @@ type SPT struct {
 }
 
 // pqItem is an entry of the lazy-deletion binary heap used by
-// Voronoi. Single-source runs use the indexed sssp kernel instead;
+// Voronoi. Single-source runs use the sssp kernel's radix heap instead;
 // Voronoi keeps this heap because its equal-distance frontiers must
 // pop in center order, not node order.
 type pqItem struct {

@@ -63,14 +63,19 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz seed corpora")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzLazyBall")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, data := range fuzzLazySeeds() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%03d", i)), []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzLazyBall":    fuzzLazySeeds(),
+		"FuzzKernelQueue": kernelQueueSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, data := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%03d", i)), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

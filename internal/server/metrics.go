@@ -159,11 +159,11 @@ type metrics struct {
 	// share routes/routeErrors and the route latency histograms above,
 	// which Engine.route feeds for both planes.
 	tcpConns     atomic.Int64  // guarded by atomic; open TCP connections
-	tcpFrames    atomic.Uint64 // guarded by atomic; frames answered
+	tcpFrames    atomic.Uint64 // guarded by atomic; response frames encoded, counted before the write
 	tcpRoutes    atomic.Uint64 // guarded by atomic; route queries served over TCP
 	tcpErrors    atomic.Uint64 // guarded by atomic; per-pair route failures over TCP
 	tcpBadFrames atomic.Uint64 // guarded by atomic; malformed frames rejected
-	tcpLatency   histogram     // guarded by atomic; whole-frame service latency
+	tcpLatency   histogram     // guarded by atomic; frame service time up to the encoded response, without the socket write
 
 	// Route-shape histograms, fed by every computed (non-cached) route.
 	// The stretch histograms use the shared trace.StretchBucketEdges so
@@ -257,7 +257,8 @@ type ChaosSnapshot struct {
 }
 
 // TCPSnapshot reports the binary serving plane's counters: connection
-// gauge, frame and route throughput, rejects, and per-frame latency.
+// gauge, frame and route throughput, rejects, and per-frame service
+// latency (up to the encoded response, without the socket write).
 type TCPSnapshot struct {
 	Connections  int64             `json:"connections"`
 	Frames       uint64            `json:"frames"`

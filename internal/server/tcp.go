@@ -230,12 +230,14 @@ func (s *TCPServer) handleConn(c net.Conn) {
 			out = s.writeError(c, &w, out, h.RequestID, err.Error())
 			return
 		}
+		// Count the frame before the write: a client that has read the
+		// response and then reads /metrics must see it counted.
+		s.e.met.tcpFrames.Add(1)
+		s.e.met.tcpLatency.Observe(time.Since(start))
 		c.SetWriteDeadline(time.Now().Add(frameIOTimeout))
 		if _, err := c.Write(out); err != nil {
 			return
 		}
-		s.e.met.tcpFrames.Add(1)
-		s.e.met.tcpLatency.Observe(time.Since(start))
 	}
 }
 
