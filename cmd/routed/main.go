@@ -69,7 +69,7 @@ func main() {
 		n       = flag.Int("n", 256, "target network size for generated graphs")
 		seed    = flag.Int64("seed", 1, "generator / naming seed")
 		eps     = flag.Float64("eps", 0.25, "stretch parameter epsilon (clamped per scheme)")
-		schemes = flag.String("schemes", strings.Join(server.SchemeNames, ","), "comma-separated schemes to compile")
+		schemes = flag.String("schemes", strings.Join(server.SchemeNames, ","), "comma-separated schemes to compile, from: "+strings.Join(server.SchemeNames, "|"))
 		load    = flag.String("load", "", "load an edge-list file (graphgen format) instead of generating")
 		cache   = flag.Int("cache", 1<<16, "route cache capacity in entries (0 disables)")
 		workers = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")

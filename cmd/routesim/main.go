@@ -8,8 +8,9 @@
 //
 //	routesim -n 300 -packets 2000 -scheme simple-labeled
 //
-// Schemes: simple-labeled, scale-free-labeled, name-independent,
-// scale-free-name-independent, full-table, single-tree.
+// Schemes (internal/schemes): simple-labeled, scale-free-labeled,
+// name-independent, scale-free-name-independent, full-table,
+// single-tree. -eps is clamped to each scheme's cap, as in routed.
 //
 // -backend selects the distance backend the scheme is built on: dense
 // (full APSP matrices) or lazy (on-demand truncated Dijkstra rows).
@@ -21,25 +22,24 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
-	"compactrouting/internal/baseline"
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
-	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/schemes"
 )
 
 func main() {
 	var (
 		n       = flag.Int("n", 300, "target network size")
 		packets = flag.Int("packets", 2000, "concurrent deliveries")
-		scheme  = flag.String("scheme", "simple-labeled", "simple-labeled|scale-free-labeled|name-independent|scale-free-name-independent|full-table|single-tree")
+		scheme  = flag.String("scheme", "simple-labeled", strings.Join(schemes.Names(), "|"))
 		seed    = flag.Int64("seed", 1, "random seed")
-		eps     = flag.Float64("eps", 0.5, "epsilon for the labeled scheme")
+		eps     = flag.Float64("eps", 0.5, "stretch parameter, clamped to the scheme's cap")
 		backend = flag.String("backend", "dense", "distance backend: dense|lazy")
 	)
 	flag.Parse()
@@ -50,137 +50,32 @@ func main() {
 }
 
 func run(n, packets int, scheme string, seed int64, eps float64, backend string) error {
+	entry, err := schemes.Lookup(scheme)
+	if err != nil {
+		return err
+	}
 	radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n))
 	g, _, err := graph.RandomGeometric(n, radius, seed)
 	if err != nil {
 		return err
 	}
-	var a metric.Distancer
-	switch backend {
-	case "", "dense":
-		a = metric.NewAPSP(g)
-	case "lazy":
-		a = metric.NewLazyOracle(g)
-	default:
-		return fmt.Errorf("unknown backend %q (want dense or lazy)", backend)
+	a, err := metric.NewBackend(g, backend)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("network: n=%d m=%d, %d concurrent packets, scheme %s\n", g.N(), g.M(), packets, scheme)
 
 	pairs := core.SamplePairs(g.N(), packets, seed+1)
-	deliveries := make([]sim.Delivery, len(pairs))
-
-	// seqRoute replays pair i through the scheme's own sequential
-	// driver; the concurrent walk must match it hop for hop.
-	var seqRoute func(i int) (*core.Route, error)
-
-	// bound is the scheme's analytical stretch guarantee; every scheme
-	// sets it (full-table routes optimally, single-tree's distortion is
-	// unbounded) so the violation check below covers labeled and
-	// name-independent paths alike.
-	bound := math.Inf(1)
-
-	var results []sim.Result
-	start := time.Now()
-	switch scheme {
-	case "simple-labeled":
-		s, err := labeled.NewSimple(g, a, eps)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
-		}
-		bound = s.StretchBound()
-		results = sim.Run[labeled.SimpleHeader](g, sim.SimpleLabeledRouter{S: s}, deliveries, 0)
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToLabel(pairs[i][0], s.LabelOf(pairs[i][1]))
-		}
-	case "scale-free-labeled":
-		se := eps
-		if se > 0.25 {
-			se = 0.25
-		}
-		s, err := labeled.NewScaleFree(g, a, se)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
-		}
-		bound = s.StretchBound()
-		results = sim.Run[labeled.SFHeader](g, sim.ScaleFreeLabeledRouter{S: s}, deliveries, 64*g.N())
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToLabel(pairs[i][0], s.LabelOf(pairs[i][1]))
-		}
-	case "name-independent":
-		ne := eps
-		if ne > 1.0/3 {
-			ne = 0.25
-		}
-		under, err := labeled.NewSimple(g, a, ne)
-		if err != nil {
-			return err
-		}
-		nm := nameind.RandomNaming(g.N(), seed+2)
-		s, err := nameind.NewSimple(g, a, nm, under, ne)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
-		}
-		bound = s.StretchBound()
-		results = sim.Run[nameind.NIHeader](g, sim.NameIndependentRouter{S: s}, deliveries, 256*g.N())
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToName(pairs[i][0], nm.NameOf(pairs[i][1]))
-		}
-	case "scale-free-name-independent":
-		ne := eps
-		if ne > 0.25 {
-			ne = 0.25
-		}
-		under, err := labeled.NewScaleFree(g, a, ne)
-		if err != nil {
-			return err
-		}
-		nm := nameind.RandomNaming(g.N(), seed+2)
-		s, err := nameind.NewScaleFree(g, a, nm, under, ne)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
-		}
-		bound = s.StretchBound()
-		results = sim.Run[nameind.SFNIHeader](g, sim.ScaleFreeNameIndependentRouter{S: s}, deliveries, 512*g.N())
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToName(pairs[i][0], nm.NameOf(pairs[i][1]))
-		}
-	case "full-table":
-		s := baseline.NewFullTable(g, a)
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: p[1]}
-		}
-		bound = 1
-		results = sim.Run[baseline.Destination](g, sim.FullTableRouter{S: s}, deliveries, 0)
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToLabel(pairs[i][0], pairs[i][1])
-		}
-	case "single-tree":
-		s, err := baseline.NewSingleTree(g, 0)
-		if err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: p[1]}
-		}
-		results = sim.Run[baseline.TreeHeader](g, sim.SingleTreeRouter{S: s}, deliveries, 0)
-		seqRoute = func(i int) (*core.Route, error) {
-			return s.RouteToLabel(pairs[i][0], pairs[i][1])
-		}
-	default:
-		return fmt.Errorf("unknown scheme %q", scheme)
+	inst, err := entry.Build(g, a, eps, seed+2)
+	if err != nil {
+		return err
 	}
+	// bound is the scheme's analytical stretch guarantee (1 for the full
+	// table, +Inf for the single tree), so the violation check below
+	// covers labeled and name-independent paths alike.
+	bound := inst.StretchBound
+	start := time.Now()
+	results := inst.Run(pairs, nil)
 	elapsed := time.Since(start)
 
 	var stretches []float64
@@ -223,12 +118,12 @@ func run(n, packets int, scheme string, seed int64, eps float64, backend string)
 		checked = 200
 	}
 	for i := 0; i < checked; i++ {
-		seq, err := seqRoute(i)
+		seq, err := inst.Route(pairs[i][0], pairs[i][1])
 		if err != nil {
 			return fmt.Errorf("cross-check scheme=%s seed=%d pair=(%d,%d): sequential router failed: %w",
 				scheme, seed, pairs[i][0], pairs[i][1], err)
 		}
-		if diverged(results[i].Path, seq.Path) {
+		if !slices.Equal(results[i].Path, seq.Path) {
 			return fmt.Errorf("cross-check DIVERGED scheme=%s seed=%d pair=(%d,%d): concurrent path %v vs sequential %v",
 				scheme, seed, pairs[i][0], pairs[i][1], results[i].Path, seq.Path)
 		}
@@ -269,17 +164,4 @@ func checkStretchBound(scheme string, seed int64, stretches []float64, bound flo
 			scheme, seed, viol, len(stretches), bound, worst)
 	}
 	return nil
-}
-
-// diverged reports whether the two walks differ anywhere.
-func diverged(sim, seq []int) bool {
-	if len(sim) != len(seq) {
-		return true
-	}
-	for k := range sim {
-		if sim[k] != seq[k] {
-			return true
-		}
-	}
-	return false
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"compactrouting/internal/schemes"
 )
 
 // TestCheckStretchBoundViolationFails is the regression test for the
@@ -40,24 +43,33 @@ func TestCheckStretchBoundWithinBoundPasses(t *testing.T) {
 // TestRunEnforcesBoundEndToEnd drives the full pipeline on a small
 // network for every scheme and both distance backends: each run must
 // deliver all packets, pass the sequential cross-check, and satisfy
-// its own analytical stretch bound.
+// its own analytical stretch bound. It runs at ε=0.25 and again, under
+// eps=0.5/, at routesim's default ε=0.5, which every scheme with a
+// smaller cap clamps to that cap.
 func TestRunEnforcesBoundEndToEnd(t *testing.T) {
-	for _, scheme := range []string{
-		"simple-labeled",
-		"scale-free-labeled",
-		"name-independent",
-		"scale-free-name-independent",
-		"full-table",
-		"single-tree",
-	} {
-		for _, backend := range []string{"dense", "lazy"} {
-			scheme, backend := scheme, backend
-			t.Run(scheme+"/"+backend, func(t *testing.T) {
-				t.Parallel()
-				if err := run(64, 200, scheme, 3, 0.25, backend); err != nil {
-					t.Fatalf("run(%s, %s): %v", scheme, backend, err)
-				}
-			})
+	for _, eps := range []float64{0.25, 0.5} {
+		prefix := ""
+		if eps != 0.25 {
+			prefix = fmt.Sprintf("eps=%v/", eps)
 		}
+		for _, scheme := range schemes.Names() {
+			for _, backend := range []string{"dense", "lazy"} {
+				scheme, backend, eps := scheme, backend, eps
+				t.Run(prefix+scheme+"/"+backend, func(t *testing.T) {
+					t.Parallel()
+					if err := run(64, 200, scheme, 3, eps, backend); err != nil {
+						t.Fatalf("run(%s, %s, eps=%v): %v", scheme, backend, eps, err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunRejectsUnknownScheme: a bad -scheme fails before the network
+// is built.
+func TestRunRejectsUnknownScheme(t *testing.T) {
+	if err := run(64, 10, "no-such-scheme", 1, 0.5, "dense"); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("unknown scheme: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
@@ -54,6 +55,9 @@ func (s *FullTable) NameOf(v int) int { return v }
 
 // TableBits returns n-1 next-hop entries of ceil(log n) bits.
 func (s *FullTable) TableBits(v int) int { return (s.g.N() - 1) * s.idBits }
+
+// StretchBound is 1: every route is a shortest path.
+func (s *FullTable) StretchBound() float64 { return 1 }
 
 // RouteToLabel walks the shortest path using per-node next hops.
 func (s *FullTable) RouteToLabel(src, label int) (*core.Route, error) {
@@ -124,6 +128,10 @@ func (s *SingleTree) NameOf(v int) int { return v }
 func (s *SingleTree) TableBits(v int) int {
 	return s.scheme.TableBits(v) + s.scheme.LabelBits(v)
 }
+
+// StretchBound is +Inf: the tree's distortion is unbounded in the worst
+// case.
+func (s *SingleTree) StretchBound() float64 { return math.Inf(1) }
 
 // RouteToLabel routes along the tree.
 func (s *SingleTree) RouteToLabel(src, label int) (*core.Route, error) {

@@ -45,7 +45,7 @@ func writeFuzzCorpus(t testing.TB, name string, seeds [][]byte) {
 func destinationSeeds(tb testing.TB) [][]byte {
 	g, a, pairs := codecFixture(tb)
 	s := baseline.NewFullTable(g, a)
-	return encodedSeeds(harvest(tb, sim.FullTableRouter{S: s}, pairs[:16], 8*g.N()), 6)
+	return encodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 6)
 }
 
 func treeHeaderSeeds(tb testing.TB) [][]byte {
@@ -54,7 +54,7 @@ func treeHeaderSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodedSeeds(harvest(tb, sim.SingleTreeRouter{S: s}, pairs[:16], 8*g.N()), 8)
+	return encodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 8)
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in seed corpora from live

@@ -80,7 +80,7 @@ func codecFixture(t testing.TB) (*graph.Graph, *metric.APSP, [][2]int) {
 func TestDestinationCodecMatchesBits(t *testing.T) {
 	g, a, pairs := codecFixture(t)
 	s := baseline.NewFullTable(g, a)
-	hs := harvest(t, sim.FullTableRouter{S: s}, pairs, 8*g.N())
+	hs := harvest(t, s, pairs, 8*g.N())
 	checkCodec(t, hs, baseline.DecodeDestination)
 }
 
@@ -91,6 +91,6 @@ func TestTreeHeaderCodecMatchesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := harvest(t, sim.SingleTreeRouter{S: s}, pairs, 8*g.N())
+	hs := harvest(t, s, pairs, 8*g.N())
 	checkCodec(t, hs, baseline.DecodeTreeHeader)
 }

@@ -201,12 +201,13 @@ type DistOracle interface {
 	Dist(u, v int) float64
 }
 
-// EvaluateLabeled routes every pair in pairs and summarizes stretch.
-func EvaluateLabeled(s LabeledScheme, d DistOracle, pairs [][2]int) (StretchStats, error) {
+// Evaluate routes every pair in pairs with route, which takes a
+// destination node id, and summarizes stretch.
+func Evaluate(route func(src, dst int) (*Route, error), d DistOracle, pairs [][2]int) (StretchStats, error) {
 	stretches := make([]float64, 0, len(pairs))
 	maxHdr, falls := 0, 0
 	for _, p := range pairs {
-		r, err := s.RouteToLabel(p[0], s.LabelOf(p[1]))
+		r, err := route(p[0], p[1])
 		if err != nil {
 			return StretchStats{}, fmt.Errorf("route %d -> %d: %w", p[0], p[1], err)
 		}
@@ -221,25 +222,16 @@ func EvaluateLabeled(s LabeledScheme, d DistOracle, pairs [][2]int) (StretchStat
 	return summarize(stretches, maxHdr, falls), nil
 }
 
+// EvaluateLabeled routes every pair in pairs by destination label and
+// summarizes stretch.
+func EvaluateLabeled(s LabeledScheme, d DistOracle, pairs [][2]int) (StretchStats, error) {
+	return Evaluate(func(src, dst int) (*Route, error) { return s.RouteToLabel(src, s.LabelOf(dst)) }, d, pairs)
+}
+
 // EvaluateNameIndependent routes every pair in pairs by destination
 // name and summarizes stretch.
 func EvaluateNameIndependent(s NameIndependentScheme, d DistOracle, pairs [][2]int) (StretchStats, error) {
-	stretches := make([]float64, 0, len(pairs))
-	maxHdr, falls := 0, 0
-	for _, p := range pairs {
-		r, err := s.RouteToName(p[0], s.NameOf(p[1]))
-		if err != nil {
-			return StretchStats{}, fmt.Errorf("route %d -> name of %d: %w", p[0], p[1], err)
-		}
-		stretches = append(stretches, r.Stretch(d.Dist(p[0], p[1])))
-		if r.MaxHeaderBits > maxHdr {
-			maxHdr = r.MaxHeaderBits
-		}
-		if r.Fallback {
-			falls++
-		}
-	}
-	return summarize(stretches, maxHdr, falls), nil
+	return Evaluate(func(src, dst int) (*Route, error) { return s.RouteToName(src, s.NameOf(dst)) }, d, pairs)
 }
 
 // TableStats summarizes per-node routing-table sizes in bits.

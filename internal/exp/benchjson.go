@@ -6,10 +6,9 @@ import (
 	"io"
 	"time"
 
-	"compactrouting/internal/baseline"
 	"compactrouting/internal/core"
 	"compactrouting/internal/par"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/schemes"
 	"compactrouting/internal/trace"
 )
 
@@ -62,7 +61,7 @@ type BenchOpts struct {
 	// ApspMS is the caller-measured oracle build time (the env carries
 	// a prebuilt APSP, so only the caller saw that phase's clock).
 	ApspMS float64
-	// Trace routes the sweep through the traced simulator adapters
+	// Trace routes the sweep through the schemes' traced walkers
 	// (sim.RouteOnceTraced) instead of the sequential evaluators and
 	// adds the per-phase detour decomposition to every record. The two
 	// paths execute identical step functions, so every other field is
@@ -108,29 +107,22 @@ type PhaseDecomp struct {
 // otherwise).
 type benchEval func() (core.StretchStats, []PhaseDecomp, error)
 
-// benchCell is one scheme's build+evaluate job: build compiles the
-// scheme and returns its table accounting plus the routing closure.
-type benchCell struct {
-	name  string
-	build func() (tableBits func(int) int, eval benchEval, err error)
-}
-
-// untraced adapts a core evaluator to the benchEval signature.
-func untraced(eval func() (core.StretchStats, error)) benchEval {
+// sequentialEval routes every pair through the scheme's own sequential
+// evaluator (RouteToLabel or RouteToName).
+func sequentialEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
 	return func() (core.StretchStats, []PhaseDecomp, error) {
-		st, err := eval()
+		st, err := core.Evaluate(inst.Route, e.A, pairs)
 		return st, nil, err
 	}
 }
 
-// tracedEval routes every pair through the scheme's simulator adapter
-// with tracing enabled and folds the hop records into the per-phase
-// decomposition. The adapter drives the same step functions as the
-// sequential evaluators, so the walks — and hence every stretch field —
-// are identical; Fallbacks counts routes with at least one
-// fallback-phase hop. maxHops mirrors the per-scheme budgets used by
-// cmd/routesim and internal/server (0 selects the simulator default).
-func tracedEval[H sim.Header](e *Env, r sim.Router[H], addr func(int) int, maxHops int, pairs [][2]int) benchEval {
+// tracedEval routes every pair through the scheme's walker with tracing
+// enabled and folds the hop records into the per-phase decomposition.
+// The walker drives the same step functions as the sequential
+// evaluators, so the walks — and hence every stretch field — are
+// identical; Fallbacks counts routes with at least one fallback-phase
+// hop.
+func tracedEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
 	return func() (core.StretchStats, []PhaseDecomp, error) {
 		stretches := make([]float64, 0, len(pairs))
 		maxHdr, falls := 0, 0
@@ -138,7 +130,7 @@ func tracedEval[H sim.Header](e *Env, r sim.Router[H], addr func(int) int, maxHo
 		var cost [trace.NumPhases]float64
 		tr := &trace.Trace{}
 		for _, p := range pairs {
-			res := sim.RouteOnceTraced(e.G, r, p[0], addr(p[1]), maxHops, tr)
+			res := inst.Traced(p[0], p[1], tr)
 			if res.Err != nil {
 				return core.StretchStats{}, nil, fmt.Errorf("route %d -> %d: %w", p[0], p[1], res.Err)
 			}
@@ -174,89 +166,30 @@ func tracedEval[H sim.Header](e *Env, r sim.Router[H], addr func(int) int, maxHo
 	}
 }
 
-// benchCells lists the sweep's schemes in report order. With traced
-// set, evaluation runs through the simulator adapters with tracing on
-// (tracedEval); otherwise through the sequential core evaluators.
-func benchCells(e *Env, eps float64, pairs [][2]int, seed int64, traced bool) []benchCell {
-	n := e.G.N()
-	return []benchCell{
-		{"simple-labeled", func() (func(int) int, benchEval, error) {
-			s, err := buildLabeledSimple(e, minf(eps, 0.5))
-			if err != nil {
-				return nil, nil, err
-			}
-			if traced {
-				return s.TableBits, tracedEval(e, sim.SimpleLabeledRouter{S: s}, s.LabelOf, 0, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateLabeled(s, e.A, pairs) }), nil
-		}},
-		{"scale-free-labeled", func() (func(int) int, benchEval, error) {
-			s, err := buildLabeledScaleFree(e, minf(eps, 0.25))
-			if err != nil {
-				return nil, nil, err
-			}
-			if traced {
-				return s.TableBits, tracedEval(e, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, 64*n, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateLabeled(s, e.A, pairs) }), nil
-		}},
-		{"name-independent", func() (func(int) int, benchEval, error) {
-			s, err := buildNameIndSimple(e, minf(eps, 1.0/3), seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			if traced {
-				return s.TableBits, tracedEval(e, sim.NameIndependentRouter{S: s}, s.NameOf, 256*n, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateNameIndependent(s, e.A, pairs) }), nil
-		}},
-		{"scale-free-name-independent", func() (func(int) int, benchEval, error) {
-			s, err := buildNameIndScaleFree(e, minf(eps, 0.25), seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			if traced {
-				return s.TableBits, tracedEval(e, sim.ScaleFreeNameIndependentRouter{S: s}, s.NameOf, 512*n, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateNameIndependent(s, e.A, pairs) }), nil
-		}},
-		{"full-table", func() (func(int) int, benchEval, error) {
-			s := baseline.NewFullTable(e.G, e.A)
-			if traced {
-				return s.TableBits, tracedEval(e, sim.FullTableRouter{S: s}, func(v int) int { return v }, 0, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateLabeled(s, e.A, pairs) }), nil
-		}},
-		{"single-tree", func() (func(int) int, benchEval, error) {
-			s, err := baseline.NewSingleTree(e.G, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			if traced {
-				return s.TableBits, tracedEval(e, sim.SingleTreeRouter{S: s}, func(v int) int { return v }, 0, pairs), nil
-			}
-			return s.TableBits, untraced(func() (core.StretchStats, error) { return core.EvaluateLabeled(s, e.A, pairs) }), nil
-		}},
-	}
-}
-
-// Bench builds every scheme and routes the sampled pairs through it,
-// returning one record per scheme with stretch percentiles and (when
-// opt.Timing) per-phase wall clocks. The scheme cells run in parallel;
-// record order and every non-timing field are identical to a serial
-// run (asserted by the `make check` double-run diff).
+// Bench builds every registered scheme and routes the sampled pairs
+// through it, returning one record per scheme in registry order with
+// stretch percentiles and (when opt.Timing) per-phase wall clocks. With
+// opt.Trace the pairs run through the scheme's walker with tracing on
+// (tracedEval); otherwise through its sequential evaluator. The scheme
+// cells run in parallel; record order and every non-timing field are
+// identical to a serial run (asserted by the `make check` double-run
+// diff).
 func Bench(e *Env, opt BenchOpts) ([]BenchRecord, error) {
 	pairs := e.Pairs(opt.Pairs, opt.Seed)
-	cells := benchCells(e, opt.Eps, pairs, opt.Seed, opt.Trace)
+	entries := schemes.All()
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return par.MapErr(len(cells), func(i int) (BenchRecord, error) {
+	return par.MapErr(len(entries), func(i int) (BenchRecord, error) {
 		// The wall-clock reads below feed the *_ms timing fields only,
 		// which opt.Timing gates out of the deterministic JSON contract
 		// (the `make check` double-run diff passes -timing=false).
 		start := time.Now() //determinlint:allow wallclock build_ms is a timing-only field gated by opt.Timing
-		tableBits, eval, err := cells[i].build()
+		inst, err := entries[i].Build(e.G, e.A, opt.Eps, opt.Seed)
 		if err != nil {
 			return BenchRecord{}, err
+		}
+		eval := sequentialEval(e, inst, pairs)
+		if opt.Trace {
+			eval = tracedEval(e, inst, pairs)
 		}
 		buildMS := ms(time.Since(start)) //determinlint:allow wallclock build_ms is a timing-only field gated by opt.Timing
 		start = time.Now()               //determinlint:allow wallclock route_ms is a timing-only field gated by opt.Timing
@@ -265,9 +198,9 @@ func Bench(e *Env, opt BenchOpts) ([]BenchRecord, error) {
 			return BenchRecord{}, err
 		}
 		elapsed := time.Since(start) //determinlint:allow wallclock route_ms is a timing-only field gated by opt.Timing
-		tb := core.Tables(tableBits, e.G.N())
+		tb := core.Tables(inst.TableBits, e.G.N())
 		rec := BenchRecord{
-			Scheme:        cells[i].name,
+			Scheme:        entries[i].Name(),
 			Graph:         e.Name,
 			N:             e.G.N(),
 			M:             e.G.M(),

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"testing"
+
+	"compactrouting/internal/labeled"
 )
 
 // Construction benchmarks for the four scheme compilers, at the two
@@ -36,7 +38,7 @@ func benchSizes(b *testing.B, run func(b *testing.B, env *Env)) {
 func BenchmarkBuildSimpleLabeled(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := buildLabeledSimple(env, 0.25); err != nil {
+			if _, err := labeled.NewSimple(env.G, env.A, 0.25); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -46,7 +48,7 @@ func BenchmarkBuildSimpleLabeled(b *testing.B) {
 func BenchmarkBuildScaleFreeLabeled(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := buildLabeledScaleFree(env, 0.25); err != nil {
+			if _, err := labeled.NewScaleFree(env.G, env.A, 0.25); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,19 +34,6 @@ type Env struct {
 	A    metric.Distancer
 }
 
-// BuildOracle compiles the named distance backend for g: "dense" (the
-// up-front APSP matrix) or "lazy" (on-demand truncated Dijkstra rows).
-func BuildOracle(g *graph.Graph, backend string) (metric.Distancer, error) {
-	switch backend {
-	case "", "dense":
-		return metric.NewAPSP(g), nil
-	case "lazy":
-		return metric.NewLazyOracle(g), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown backend %q (want dense|lazy)", backend)
-	}
-}
-
 // EnvOn builds a named workload family on an explicit distance backend
 // — the switchboard behind cmd/routebench's -backend flag and the
 // APSP-free experiment family. Kinds: geometric, grid-holes, exp-path,
@@ -83,9 +70,9 @@ func EnvOn(kind string, n int, seed int64, backend string) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := BuildOracle(g, backend)
+	a, err := metric.NewBackend(g, backend)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: %w", err)
 	}
 	return &Env{Name: name + " (" + orName(backend) + ")", G: g, A: a}, nil
 }
@@ -156,16 +143,6 @@ func (e *Env) Pairs(count int, seed int64) [][2]int {
 // newTab returns a tabwriter for aligned experiment output.
 func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
-// buildLabeledSimple compiles the Lemma 3.1 labeled scheme on env.
-func buildLabeledSimple(e *Env, eps float64) (*labeled.Simple, error) {
-	return labeled.NewSimple(e.G, e.A, eps)
-}
-
-// buildLabeledScaleFree compiles the Theorem 1.2 scheme on env.
-func buildLabeledScaleFree(e *Env, eps float64) (*labeled.ScaleFree, error) {
-	return labeled.NewScaleFree(e.G, e.A, eps)
 }
 
 // buildNameIndSimple compiles the Theorem 1.4 scheme on env.

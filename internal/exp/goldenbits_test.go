@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"compactrouting/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -29,19 +27,13 @@ func TestGoldenBitAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs := e.Pairs(120, 7)
-		for _, cell := range benchCells(e, 0.25, pairs, 7, true) {
-			tableBits, eval, err := cell.build()
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", cell.name, e.G.N(), err)
-			}
-			st, _, err := eval()
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", cell.name, e.G.N(), err)
-			}
-			tb := core.Tables(tableBits, e.G.N())
+		recs, err := Bench(e, BenchOpts{Eps: 0.25, Pairs: 120, Seed: 7, Trace: true})
+		if err != nil {
+			t.Fatalf("n=%d: %v", e.G.N(), err)
+		}
+		for _, r := range recs {
 			fmt.Fprintf(&got, "n=%d scheme=%s max_table_bits=%d max_header_bits=%d\n",
-				e.G.N(), cell.name, tb.MaxBits, st.MaxHeader)
+				r.N, r.Scheme, r.TableMaxBits, r.MaxHeaderBits)
 		}
 	}
 

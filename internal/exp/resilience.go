@@ -6,11 +6,10 @@ import (
 	"io"
 	"math/rand"
 
-	"compactrouting/internal/baseline"
 	"compactrouting/internal/faultsim"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/par"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/schemes"
 )
 
 // ChaosConfig parameterizes the resilience sweep (cmd/chaossim).
@@ -64,63 +63,27 @@ type ChaosRecord struct {
 	StretchDegradation float64 `json:"stretch_degradation"`
 }
 
-// chaosScheme is one scheme erased to a fault-injected deliver call
-// taking a destination NODE id.
-type chaosScheme struct {
-	name    string
-	deliver func(src, dst int, in *faultsim.Injector, rel faultsim.Reliability, id uint64) faultsim.Result
+// chaosCohort is the resilience sweep's schemes in report order: the
+// full-table baseline against the paper's labeled and name-independent
+// schemes.
+var chaosCohort = []string{
+	"full-table",
+	"simple-labeled",
+	"scale-free-labeled",
+	"name-independent",
+	"scale-free-name-independent",
 }
 
-func chaosErase[H sim.Header](name string, g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int) chaosScheme {
-	return chaosScheme{
-		name: name,
-		deliver: func(src, dst int, in *faultsim.Injector, rel faultsim.Reliability, id uint64) faultsim.Result {
-			return faultsim.Deliver(g, r, src, addr(dst), maxHops, in, rel, id)
-		},
+// chaosSchemes compiles the resilience cohort in parallel; the returned
+// order is chaosCohort's.
+func chaosSchemes(e *Env, eps float64, seed int64) ([]*schemes.Instance, error) {
+	entries, err := schemes.Resolve(chaosCohort)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// chaosSchemes compiles the resilience cohort: the full-table baseline
-// against the paper's labeled and name-independent schemes. The five
-// schemes build in parallel; the returned order is fixed.
-func chaosSchemes(e *Env, eps float64, seed int64) ([]chaosScheme, error) {
-	n := e.G.N()
-	self := func(v int) int { return v }
-	builders := []func() (chaosScheme, error){
-		func() (chaosScheme, error) {
-			full := baseline.NewFullTable(e.G, e.A)
-			return chaosErase("full-table", e.G, sim.FullTableRouter{S: full}, self, 0), nil
-		},
-		func() (chaosScheme, error) {
-			simple, err := buildLabeledSimple(e, minf(eps, 0.5))
-			if err != nil {
-				return chaosScheme{}, err
-			}
-			return chaosErase("simple-labeled", e.G, sim.SimpleLabeledRouter{S: simple}, simple.LabelOf, 0), nil
-		},
-		func() (chaosScheme, error) {
-			free, err := buildLabeledScaleFree(e, minf(eps, 0.25))
-			if err != nil {
-				return chaosScheme{}, err
-			}
-			return chaosErase("scale-free-labeled", e.G, sim.ScaleFreeLabeledRouter{S: free}, free.LabelOf, 64*n), nil
-		},
-		func() (chaosScheme, error) {
-			ni, err := buildNameIndSimple(e, minf(eps, 1.0/3), seed)
-			if err != nil {
-				return chaosScheme{}, err
-			}
-			return chaosErase("name-independent", e.G, sim.NameIndependentRouter{S: ni}, ni.NameOf, 256*n), nil
-		},
-		func() (chaosScheme, error) {
-			sfni, err := buildNameIndScaleFree(e, minf(eps, 0.25), seed)
-			if err != nil {
-				return chaosScheme{}, err
-			}
-			return chaosErase("scale-free-name-independent", e.G, sim.ScaleFreeNameIndependentRouter{S: sfni}, sfni.NameOf, 512*n), nil
-		},
-	}
-	return par.MapErr(len(builders), func(i int) (chaosScheme, error) { return builders[i]() })
+	return par.MapErr(len(entries), func(i int) (*schemes.Instance, error) {
+		return entries[i].Build(e.G, e.A, eps, seed)
+	})
 }
 
 // failedEdges deterministically selects floor(frac * M) edges and takes
@@ -154,14 +117,14 @@ func failedEdges(g *graph.Graph, frac float64, seed int64) []faultsim.EdgeOutage
 // arrives relative to the scheme's fault-free stretch.
 func ChaosSweep(e *Env, cfg ChaosConfig, eps float64, pairCount int, seed int64) ([]ChaosRecord, error) {
 	pairs := e.Pairs(pairCount, seed)
-	schemes, err := chaosSchemes(e, eps, seed)
+	cohort, err := chaosSchemes(e, eps, seed)
 	if err != nil {
 		return nil, err
 	}
-	runAll := func(sc chaosScheme, in *faultsim.Injector, rel faultsim.Reliability) []faultsim.Result {
+	runAll := func(sc *schemes.Instance, in *faultsim.Injector, rel faultsim.Reliability) []faultsim.Result {
 		out := make([]faultsim.Result, len(pairs))
 		for i, p := range pairs {
-			out[i] = sc.deliver(p[0], p[1], in, rel, uint64(i))
+			out[i] = sc.Deliver(p[0], p[1], in, rel, uint64(i), nil)
 		}
 		return out
 	}
@@ -185,8 +148,8 @@ func ChaosSweep(e *Env, cfg ChaosConfig, eps float64, pairCount int, seed int64)
 	}
 
 	// Fault-free baselines, one per scheme, in parallel.
-	baselines := par.Map(len(schemes), func(si int) float64 {
-		return meanStretch(runAll(schemes[si], faultsim.NewInjector(faultsim.FaultPlan{}), faultsim.Reliability{}))
+	baselines := par.Map(len(cohort), func(si int) float64 {
+		return meanStretch(runAll(cohort[si], faultsim.NewInjector(faultsim.FaultPlan{}), faultsim.Reliability{}))
 	})
 	// Every (scheme, failed-edge fraction, loss rate) cell owns its
 	// injector and fault draws (a pure hash of seed/delivery/attempt/
@@ -194,11 +157,11 @@ func ChaosSweep(e *Env, cfg ChaosConfig, eps float64, pairCount int, seed int64)
 	// record order — and every value — identical to the serial triple
 	// loop this replaces; `make check` double-run-diffs the JSON.
 	nCells := len(cfg.FailFracs) * len(cfg.LossRates)
-	out := par.Map(len(schemes)*nCells, func(cell int) ChaosRecord {
+	out := par.Map(len(cohort)*nCells, func(cell int) ChaosRecord {
 		si := cell / nCells
 		fi := (cell % nCells) / len(cfg.LossRates)
 		li := cell % len(cfg.LossRates)
-		sc, frac, loss := schemes[si], cfg.FailFracs[fi], cfg.LossRates[li]
+		sc, frac, loss := cohort[si], cfg.FailFracs[fi], cfg.LossRates[li]
 		baseStretch := baselines[si]
 		outages := failedEdges(e.G, frac, seed+int64(fi))
 		plan := faultsim.FaultPlan{
@@ -211,7 +174,7 @@ func ChaosSweep(e *Env, cfg ChaosConfig, eps float64, pairCount int, seed int64)
 		once := runAll(sc, in, faultsim.Reliability{MaxAttempts: 1})
 		retried := runAll(sc, in, cfg.Rel)
 		rec := ChaosRecord{
-			Scheme:           sc.name,
+			Scheme:           sc.Entry.Name(),
 			Graph:            e.Name,
 			N:                e.G.N(),
 			M:                e.G.M(),

@@ -76,12 +76,12 @@ func allSchemes(t *testing.T, n int, seed int64) (*graph.Graph, []erased) {
 		t.Fatal(err)
 	}
 	return g, []erased{
-		erase("full-table", g, sim.FullTableRouter{S: ft}, self, 0),
-		erase("single-tree", g, sim.SingleTreeRouter{S: st}, self, 0),
+		erase("full-table", g, ft, self, 0),
+		erase("single-tree", g, st, self, 0),
 		erase("simple-labeled", g, sim.SimpleLabeledRouter{S: sl}, sl.LabelOf, 0),
-		erase("scale-free-labeled", g, sim.ScaleFreeLabeledRouter{S: sf}, sf.LabelOf, 64*g.N()),
+		erase("scale-free-labeled", g, sf, sf.LabelOf, 64*g.N()),
 		erase("name-independent", g, sim.NameIndependentRouter{S: ni}, nm.NameOf, 256*g.N()),
-		erase("scale-free-name-independent", g, sim.ScaleFreeNameIndependentRouter{S: sfni}, nm.NameOf, 512*g.N()),
+		erase("scale-free-name-independent", g, sfni, nm.NameOf, 512*g.N()),
 	}
 }
 
@@ -166,13 +166,13 @@ func TestRetriesOnlyGrowDeliveredSet(t *testing.T) {
 }
 
 // pathFixture returns a unit path graph and a full-table router on it.
-func pathFixture(t *testing.T, n int) (*graph.Graph, sim.FullTableRouter) {
+func pathFixture(t *testing.T, n int) (*graph.Graph, *baseline.FullTable) {
 	t.Helper()
 	g, err := graph.Path(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, sim.FullTableRouter{S: baseline.NewFullTable(g, metric.NewAPSP(g))}
+	return g, baseline.NewFullTable(g, metric.NewAPSP(g))
 }
 
 func TestPermanentEdgeOutageKillsDelivery(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
 )
 
@@ -29,7 +28,6 @@ func traceFixture(t *testing.T) (*graph.Graph, *metric.APSP) {
 func TestDeliverTracedFinalAttempt(t *testing.T) {
 	g, a := traceFixture(t)
 	s := baseline.NewFullTable(g, a)
-	r := sim.FullTableRouter{S: s}
 	in := NewInjector(FaultPlan{Seed: 7, Loss: 0.15})
 	rel := DefaultReliability
 
@@ -37,7 +35,7 @@ func TestDeliverTracedFinalAttempt(t *testing.T) {
 	sawRetry := false
 	for i, p := range pairs {
 		tr := &trace.Trace{}
-		res := DeliverTraced(g, r, p[0], p[1], 0, in, rel, uint64(i), tr)
+		res := DeliverTraced(g, s, p[0], p[1], 0, in, rel, uint64(i), tr)
 		if res.Sim.Err != nil {
 			t.Fatalf("pair (%d,%d): %v", p[0], p[1], res.Sim.Err)
 		}
@@ -78,15 +76,14 @@ func TestDeliverTracedFinalAttempt(t *testing.T) {
 func TestDeliverTracedDeterministic(t *testing.T) {
 	g, a := traceFixture(t)
 	s := baseline.NewFullTable(g, a)
-	r := sim.FullTableRouter{S: s}
 	rel := DefaultReliability
 
 	for id := uint64(0); id < 20; id++ {
 		in1 := NewInjector(FaultPlan{Seed: 3, Loss: 0.2})
 		in2 := NewInjector(FaultPlan{Seed: 3, Loss: 0.2})
 		tr1, tr2 := &trace.Trace{}, &trace.Trace{}
-		DeliverTraced(g, r, 1, 40, 0, in1, rel, id, tr1)
-		DeliverTraced(g, r, 1, 40, 0, in2, rel, id, tr2)
+		DeliverTraced(g, s, 1, 40, 0, in1, rel, id, tr1)
+		DeliverTraced(g, s, 1, 40, 0, in2, rel, id, tr2)
 		if !bytes.Equal(tr1.Marshal(), tr2.Marshal()) {
 			t.Fatalf("delivery %d: traced replay differs under identical fault plans", id)
 		}
@@ -98,15 +95,14 @@ func TestDeliverTracedDeterministic(t *testing.T) {
 func TestDeliverTracedMatchesUntraced(t *testing.T) {
 	g, a := traceFixture(t)
 	s := baseline.NewFullTable(g, a)
-	r := sim.FullTableRouter{S: s}
 	rel := DefaultReliability
 
 	for id := uint64(0); id < 20; id++ {
 		inU := NewInjector(FaultPlan{Seed: 5, Loss: 0.2})
 		inT := NewInjector(FaultPlan{Seed: 5, Loss: 0.2})
-		u := Deliver(g, r, 2, 50, 0, inU, rel, id)
+		u := Deliver(g, s, 2, 50, 0, inU, rel, id)
 		tr := &trace.Trace{}
-		tc := DeliverTraced(g, r, 2, 50, 0, inT, rel, id, tr)
+		tc := DeliverTraced(g, s, 2, 50, 0, inT, rel, id, tr)
 		if u.Delivered != tc.Delivered || u.Attempts != tc.Attempts || u.Drops != tc.Drops ||
 			math.Float64bits(u.Sim.Cost) != math.Float64bits(tc.Sim.Cost) {
 			t.Fatalf("delivery %d: traced outcome %+v != untraced %+v", id, tc, u)

@@ -57,7 +57,7 @@ func sfSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodedSeeds(harvest(tb, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, pairs[:16], 64*g.N()), 12)
+	return encodedSeeds(harvest(tb, s, s.LabelOf, pairs[:16], 64*g.N()), 12)
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in seed corpora from live

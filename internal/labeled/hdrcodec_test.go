@@ -98,6 +98,6 @@ func TestSFHeaderCodecMatchesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := harvest(t, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, pairs, 64*g.N())
+	hs := harvest(t, s, s.LabelOf, pairs, 64*g.N())
 	checkCodec(t, hs, labeled.DecodeSFHeader)
 }

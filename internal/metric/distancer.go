@@ -1,5 +1,25 @@
 package metric
 
+import (
+	"fmt"
+
+	"compactrouting/internal/graph"
+)
+
+// NewBackend compiles the named distance backend for g: "dense" (or
+// "") builds the APSP matrices, "lazy" the on-demand row cache. It is
+// the one dense|lazy constructor: compactrouting's networks,
+// internal/exp and cmd/routesim all build their oracle here.
+func NewBackend(g *graph.Graph, name string) (Distancer, error) {
+	switch name {
+	case "", "dense":
+		return NewAPSP(g), nil
+	case "lazy":
+		return NewLazyOracle(g), nil
+	}
+	return nil, fmt.Errorf("unknown backend %q (want dense|lazy)", name)
+}
+
 // Distancer is the metric backend the scheme constructors compile
 // against: every query the paper's constructions make about the
 // shortest-path metric, abstracted away from how the answers are

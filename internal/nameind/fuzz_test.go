@@ -66,7 +66,7 @@ func sfniSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodedSeeds(harvest(tb, sim.ScaleFreeNameIndependentRouter{S: s}, nm.NameOf, pairs[:12], 512*g.N()), 12)
+	return encodedSeeds(harvest(tb, s, nm.NameOf, pairs[:12], 512*g.N()), 12)
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in seed corpora from live

@@ -104,6 +104,6 @@ func TestSFNIHeaderCodecMatchesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := harvest(t, sim.ScaleFreeNameIndependentRouter{S: s}, nm.NameOf, pairs, 512*g.N())
+	hs := harvest(t, s, nm.NameOf, pairs, 512*g.N())
 	checkCodec(t, hs, nameind.DecodeSFNIHeader)
 }

@@ -8,8 +8,8 @@
 //	handlers (HTTP/JSON) --\
 //	                        >--  Engine.route  ->  route cache (direct-mapped slots)
 //	TCP frames ------------/          |
-//	                          one bound walker per scheme: sim.Walk
-//	                          over the scheme's sim.Router
+//	                          one walker per scheme (internal/schemes):
+//	                          sim.Walk over the scheme's sim.Router
 //
 // Every query on either plane goes through Engine.route, and every
 // scheme is driven as an internal/sim Router — the same
@@ -29,42 +29,33 @@ import (
 	"time"
 
 	"compactrouting"
-	"compactrouting/internal/baseline"
-	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
 	"compactrouting/internal/faultsim"
 	"compactrouting/internal/frame"
-	"compactrouting/internal/graph"
-	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
 	"compactrouting/internal/par"
+	"compactrouting/internal/schemes"
 	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
 )
 
-// SchemeNames are the schemes the engine can compile, in report order.
-var SchemeNames = []string{
-	"simple-labeled",
-	"scale-free-labeled",
-	"name-independent",
-	"scale-free-name-independent",
-	"full-table",
-	"single-tree",
-}
+// SchemeNames are the schemes the engine can compile, in report order:
+// the registry's (internal/schemes).
+var SchemeNames = schemes.Names()
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Build constructs the network for a given seed; called at startup
 	// and again on every reload. Required.
 	Build func(seed int64) (*compactrouting.Network, error)
-	// Seed is the initial Build seed (also salts the name-independent
-	// namings).
+	// Seed is the initial Build seed (seed+2 also draws the
+	// name-independent namings).
 	Seed int64
-	// Eps is the stretch parameter; clamped per scheme to its analyzed
-	// range. Zero selects 0.25.
+	// Eps is the stretch parameter; clamped per scheme to its registry
+	// cap. Zero selects 0.25.
 	Eps float64
-	// Schemes to compile; nil compiles all of SchemeNames.
+	// Schemes to compile; nil compiles all of SchemeNames. Unknown and
+	// repeated names are rejected before the network is built.
 	Schemes []string
 	// CacheEntries bounds the route cache (<= 0 disables caching).
 	CacheEntries int
@@ -170,20 +161,12 @@ type GraphInfo struct {
 	NormalizedDiameter float64 `json:"normalized_diameter"`
 }
 
-// scheme is one compiled scheme plus its bound walker.
+// scheme is one compiled scheme and its accounting.
 type scheme struct {
 	info SchemeInfo
-	// impl is the concrete scheme object (e.g. *labeled.Simple) the
-	// walker closes over; the snapshot plane serializes it.
-	impl any
-	// walk is the scheme's one bound walker (see bind). The hotpath
-	// annotation lets Engine.route call through this indirection; a
-	// shape-only walk is sim.RouteLite, which carries its own
-	// annotation, and TestFramedRoutePathAllocs pins the whole cycle
-	// at 0 allocs/op.
-	//
-	//determinlint:hotpath
-	walk func(src, dst int, path bool, tr *trace.Trace) walked
+	// inst holds the concrete scheme the snapshot plane serializes and
+	// its walker.
+	inst *schemes.Instance
 }
 
 // walked is one bound walk's outcome: its shape, plus what the query
@@ -234,6 +217,8 @@ func (st *state) schemeIndex(name string) int {
 // All methods are safe for concurrent use.
 type Engine struct {
 	cfg Config
+	// entries are cfg.Schemes' registry rows, in compile order.
+	entries []schemes.Entry
 	// cache is the route cache of both planes: direct-mapped value
 	// slots, no allocation on a shape-only hit or miss (nil when
 	// caching is disabled).
@@ -260,6 +245,10 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = SchemeNames
 	}
+	entries, err := schemes.Resolve(cfg.Schemes)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -268,7 +257,7 @@ func New(cfg Config) (*Engine, error) {
 	if hopCap == 0 {
 		hopCap = DefaultTraceHopCap
 	}
-	e := newEngine(cfg, workers, hopCap)
+	e := newEngine(cfg, entries, workers, hopCap)
 	st, err := e.build(cfg.Seed, 0)
 	if err != nil {
 		return nil, err
@@ -279,9 +268,10 @@ func New(cfg Config) (*Engine, error) {
 
 // newEngine assembles the engine shell shared by New and
 // NewFromSnapshot (everything but the serving state).
-func newEngine(cfg Config, workers, hopCap int) *Engine {
+func newEngine(cfg Config, entries []schemes.Entry, workers, hopCap int) *Engine {
 	return &Engine{
 		cfg:         cfg,
+		entries:     entries,
 		cache:       newLiteCache(cfg.CacheEntries),
 		met:         newMetrics(cfg.Schemes),
 		workers:     workers,
@@ -302,13 +292,14 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 	// so the whole set builds in parallel on startup and /reload; the
 	// ordered MapErr keeps compile order — and any error — identical to
 	// the serial loop it replaced.
-	compiled, err := par.MapErr(len(e.cfg.Schemes), func(i int) (*scheme, error) {
-		name := e.cfg.Schemes[i]
-		s, err := compileScheme(name, nw.Graph(), nw.Distancer(), e.cfg.Eps, seed, e.chaos)
+	compiled, err := par.MapErr(len(e.entries), func(i int) (*scheme, error) {
+		entry := e.entries[i]
+		start := time.Now()
+		inst, err := entry.Build(nw.Graph(), nw.Distancer(), e.cfg.Eps, seed+2)
 		if err != nil {
-			return nil, fmt.Errorf("server: compile %s: %w", name, err)
+			return nil, fmt.Errorf("server: compile %s: %w", entry.Name(), err)
 		}
-		return s, nil
+		return newScheme(inst, nw.N(), float64(time.Since(start).Microseconds())/1000), nil
 	})
 	if err != nil {
 		return nil, err
@@ -319,143 +310,47 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 	return st, nil
 }
 
-// bind wraps a generic Router into the scheme's one bound walker. addr
-// translates a destination NODE id into the scheme's address space (a
-// label or an original name), so every scheme serves the same API.
-//
-// The walker records the path when path is set and fills tr when it is
-// non-nil; otherwise it is sim.RouteLite, the zero-allocation shape
-// walk. Under fault injection every walk is a faultsim delivery with a
-// fresh delivery id, so each query draws its own faults. All three run
-// the same sim.Walk hop loop, so a traced or fault-free route is
-// byte-identical to a shape-only one. Only their failures read
-// differently: a shape-only walk returns the step function's error
-// bare, while the recorded walks name the node it happened at.
-func bind[H sim.Header](g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int, ch *chaosRuntime) func(src, dst int, path bool, tr *trace.Trace) walked {
-	return func(src, dst int, path bool, tr *trace.Trace) walked {
-		switch {
-		case ch != nil:
-			res := faultsim.DeliverTraced(g, r, src, addr(dst), maxHops, ch.in, ch.rel, ch.seq.Add(1), tr)
-			w := walked{LiteResult: shape(res.Sim), path: res.Sim.Path, attempts: res.Attempts, drops: res.Drops}
-			if !res.Delivered && w.Err == nil {
-				w.Err = fmt.Errorf("delivery failed after %d attempts (%d packets dropped)", res.Attempts, res.Drops)
-			}
-			return w
-		case path || tr != nil:
-			res := sim.RouteOnceTraced(g, r, src, addr(dst), maxHops, tr)
-			return walked{LiteResult: shape(res), path: res.Path}
-		default:
-			return walked{LiteResult: sim.RouteLite(g, r, src, addr(dst), maxHops)}
-		}
-	}
-}
-
-// shape reduces a path-carrying result to its shape.
-func shape(res sim.Result) sim.LiteResult {
-	return sim.LiteResult{Dst: res.Dst, Hops: len(res.Path) - 1, MaxHeaderBits: res.MaxHeaderBits, Cost: res.Cost, Err: res.Err}
-}
-
-func clamp(eps, hi float64) float64 {
-	if eps > hi {
-		return hi
-	}
-	return eps
-}
-
-// compileScheme builds one scheme and its bound walker.
-func compileScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64, ch *chaosRuntime) (*scheme, error) {
-	start := time.Now()
-	impl, err := buildScheme(name, g, a, eps, seed)
-	if err != nil {
-		return nil, err
-	}
-	return finishScheme(name, impl, g, ch, float64(time.Since(start).Microseconds())/1000)
-}
-
-// buildScheme constructs one scheme implementation from scratch — the
-// only place in the serving layer that invokes the (counted) scheme
-// constructors. The snapshot path replaces this call with
-// snapshot.DecodeScheme and shares everything after it.
-func buildScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64) (any, error) {
-	n := g.N()
-	switch name {
-	case "simple-labeled":
-		return labeled.NewSimple(g, a, clamp(eps, 0.5))
-	case "scale-free-labeled":
-		return labeled.NewScaleFree(g, a, clamp(eps, 0.25))
-	case "name-independent":
-		ne := clamp(eps, 1.0/3)
-		under, err := labeled.NewSimple(g, a, ne)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.NewSimple(g, a, nameind.RandomNaming(n, seed+2), under, ne)
-	case "scale-free-name-independent":
-		ne := clamp(eps, 0.25)
-		under, err := labeled.NewScaleFree(g, a, ne)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.NewScaleFree(g, a, nameind.RandomNaming(n, seed+2), under, ne)
-	case "full-table":
-		return baseline.NewFullTable(g, a), nil
-	case "single-tree":
-		return baseline.NewSingleTree(g, 0)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q (have %v)", name, SchemeNames)
-	}
-}
-
-// finishScheme wraps a concrete scheme implementation (freshly built or
-// snapshot-restored) into its bound walker and accounting. The hop budgets
-// mirror cmd/routesim's per-scheme limits.
-func finishScheme(name string, impl any, g *graph.Graph, ch *chaosRuntime, buildMillis float64) (*scheme, error) {
-	n := g.N()
-	var (
-		walk      func(src, dst int, path bool, tr *trace.Trace) walked
-		kind      string
-		labelBits int
-		tableBits func(int) int
-	)
-	identity := func(v int) int { return v }
-	switch s := impl.(type) {
-	case *labeled.Simple:
-		walk = bind[labeled.SimpleHeader](g, s, s.LabelOf, 0, ch)
-		kind, labelBits, tableBits = "labeled", bits.UintBits(n), s.TableBits
-	case *labeled.ScaleFree:
-		walk = bind[labeled.SFHeader](g, s, s.LabelOf, 64*n, ch)
-		kind, labelBits, tableBits = "labeled", bits.UintBits(n), s.TableBits
-	case *nameind.Simple:
-		nm := s.Naming()
-		walk = bind[nameind.NIHeader](g, s, nm.NameOf, 256*n, ch)
-		kind, labelBits, tableBits = "name-independent", bits.UintBits(nm.MaxName()+1), s.TableBits
-	case *nameind.ScaleFree:
-		nm := s.Naming()
-		walk = bind[nameind.SFNIHeader](g, s, nm.NameOf, 512*n, ch)
-		kind, labelBits, tableBits = "name-independent", bits.UintBits(nm.MaxName()+1), s.TableBits
-	case *baseline.FullTable:
-		walk = bind[baseline.Destination](g, s, identity, 0, ch)
-		kind, labelBits, tableBits = "baseline", bits.UintBits(n), s.TableBits
-	case *baseline.SingleTree:
-		walk = bind[baseline.TreeHeader](g, s, identity, 0, ch)
-		kind, labelBits, tableBits = "baseline", bits.UintBits(n), s.TableBits
-	default:
-		return nil, fmt.Errorf("scheme %q has unbindable implementation %T", name, impl)
-	}
-	tb := core.Tables(tableBits, n)
+// newScheme wraps a built or snapshot-restored instance with its
+// accounting.
+func newScheme(inst *schemes.Instance, n int, buildMillis float64) *scheme {
+	tb := core.Tables(inst.TableBits, n)
 	return &scheme{
 		info: SchemeInfo{
-			Name:          name,
-			Kind:          kind,
-			LabelBits:     labelBits,
+			Name:          inst.Entry.Name(),
+			Kind:          inst.Entry.Kind(),
+			LabelBits:     inst.LabelBits,
 			TableMaxBits:  tb.MaxBits,
 			TableMeanBits: tb.MeanBits,
 			TableTotal:    tb.TotalBits,
 			BuildMillis:   buildMillis,
 		},
-		impl: impl,
-		walk: walk,
-	}, nil
+		inst: inst,
+	}
+}
+
+// recorded runs one walk that records more than its shape: the path,
+// the hop log when tr is non-nil, and under fault injection a faultsim
+// delivery with a fresh delivery id, so each query draws its own
+// faults. It runs the same sim.Walk hop loop as the shape-only
+// Walker.Lite, so its route is byte-identical; only failures read
+// differently: a shape-only walk returns the step function's error
+// bare, while a recorded walk names the node it happened at.
+func (e *Engine) recorded(inst *schemes.Instance, src, dst int, tr *trace.Trace) walked {
+	if ch := e.chaos; ch != nil {
+		res := inst.Deliver(src, dst, ch.in, ch.rel, ch.seq.Add(1), tr)
+		w := walked{LiteResult: shape(res.Sim), path: res.Sim.Path, attempts: res.Attempts, drops: res.Drops}
+		if !res.Delivered && w.Err == nil {
+			w.Err = fmt.Errorf("delivery failed after %d attempts (%d packets dropped)", res.Attempts, res.Drops)
+		}
+		return w
+	}
+	res := inst.Traced(src, dst, tr)
+	return walked{LiteResult: shape(res), path: res.Path}
+}
+
+// shape reduces a path-carrying result to its shape.
+func shape(res sim.Result) sim.LiteResult {
+	return sim.LiteResult{Dst: res.Dst, Hops: len(res.Path) - 1, MaxHeaderBits: res.MaxHeaderBits, Cost: res.Cost, Err: res.Err}
 }
 
 // Route answers one query, consulting the cache first. The result is
@@ -545,7 +440,12 @@ func (e *Engine) walk(st *state, idx, src, dst int, wantPath, wantTrace bool) (r
 		//determinlint:allow hotpath a trace is allocated only for traced queries, which the zero-alloc configuration never runs
 		tr = &trace.Trace{}
 	}
-	w = st.list[idx].walk(src, dst, wantPath, tr)
+	if inst := st.list[idx].inst; e.chaos == nil && !wantPath && tr == nil {
+		w = walked{LiteResult: inst.Lite(src, dst)}
+	} else {
+		//determinlint:allow hotpath a recorded walk (path, trace or faults) allocates; the zero-alloc configuration takes only Lite
+		w = e.recorded(inst, src, dst, tr)
+	}
 	if e.chaos != nil {
 		e.met.observeChaos(w)
 	}

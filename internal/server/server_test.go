@@ -269,6 +269,49 @@ func TestSchemesEndpointAccounting(t *testing.T) {
 	}
 }
 
+// TestNewRejectsSchemeNamesBeforeBuild: unknown and repeated scheme
+// names fail before the network is built, so a typo never pays for the
+// APSP, and a repeated name never compiles twice.
+func TestNewRejectsSchemeNamesBeforeBuild(t *testing.T) {
+	for _, names := range [][]string{
+		{"simple-labeled", "no-such-scheme"},
+		{"full-table", "simple-labeled", "full-table"},
+	} {
+		builds := 0
+		_, err := New(Config{
+			Build: func(seed int64) (*compactrouting.Network, error) {
+				builds++
+				return geometricBuild(40)(seed)
+			},
+			Schemes: names,
+		})
+		if err == nil {
+			t.Fatalf("schemes %v accepted", names)
+		}
+		if builds != 0 {
+			t.Fatalf("schemes %v: Build ran %d times before the names were rejected", names, builds)
+		}
+	}
+}
+
+// TestNewFromSnapshotRejectsDuplicateBlobs: snapshot files come from
+// outside the program, so a file listing one scheme twice is rejected
+// like a repeated Config.Schemes name.
+func TestNewFromSnapshotRejectsDuplicateBlobs(t *testing.T) {
+	eng := newTestEngine(t, []string{"full-table", "single-tree"}, 0)
+	f, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFromSnapshot(Config{}, f); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	f.Schemes = append(f.Schemes, f.Schemes[0])
+	if _, err := NewFromSnapshot(Config{}, f); err == nil {
+		t.Fatal("snapshot with a repeated scheme blob accepted")
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	eng := newTestEngine(t, []string{"full-table"}, 0)
 	ts := httptest.NewServer(eng.Handler())

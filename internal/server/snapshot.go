@@ -6,6 +6,7 @@ import (
 
 	"compactrouting/internal/bits"
 	"compactrouting/internal/metric"
+	"compactrouting/internal/schemes"
 	"compactrouting/internal/snapshot"
 )
 
@@ -32,7 +33,8 @@ func (e *Engine) Snapshot() (*snapshot.File, error) {
 	}
 	for i, name := range st.order {
 		w := &bits.Writer{}
-		if err := snapshot.EncodeScheme(w, name, st.list[i].impl); err != nil {
+		inst := st.list[i].inst
+		if err := inst.Entry.EncodeSnapshot(w, inst.Impl); err != nil {
 			return nil, err
 		}
 		f.Schemes = append(f.Schemes, snapshot.SchemeBlob{
@@ -50,6 +52,8 @@ func (e *Engine) Snapshot() (*snapshot.File, error) {
 // constructor (pinned by TestSnapshotColdStartNoConstructors against
 // core.SchemeBuilds). cfg.Build is optional here — it is only needed
 // if the engine should support /reload, which rebuilds from scratch.
+// Snapshot files come from outside the program, so blob names are
+// checked like Config.Schemes: unknown and repeated names are rejected.
 func NewFromSnapshot(cfg Config, f *snapshot.File) (*Engine, error) {
 	if len(f.Schemes) == 0 {
 		return nil, fmt.Errorf("server: snapshot holds no schemes")
@@ -60,6 +64,10 @@ func NewFromSnapshot(cfg Config, f *snapshot.File) (*Engine, error) {
 	for i, sb := range f.Schemes {
 		cfg.Schemes[i] = sb.Name
 	}
+	entries, err := schemes.Resolve(cfg.Schemes)
+	if err != nil {
+		return nil, fmt.Errorf("server: snapshot: %w", err)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -68,26 +76,22 @@ func NewFromSnapshot(cfg Config, f *snapshot.File) (*Engine, error) {
 	if hopCap == 0 {
 		hopCap = DefaultTraceHopCap
 	}
-	e := newEngine(cfg, workers, hopCap)
+	e := newEngine(cfg, entries, workers, hopCap)
 	nw, err := f.Network()
 	if err != nil {
 		return nil, err
 	}
 	st := newState(nw, f.Seed, f.Generation)
-	for _, sb := range f.Schemes {
+	for i, sb := range f.Schemes {
 		r := bits.NewReader(sb.Data, sb.Bits)
-		impl, err := snapshot.DecodeScheme(r, sb.Name, nw.Graph(), nw.Distancer())
+		inst, err := entries[i].Restore(r, nw.Graph(), nw.Distancer())
 		if err != nil {
 			return nil, fmt.Errorf("server: restore %s: %w", sb.Name, err)
 		}
 		if rem := r.Remaining(); rem != 0 {
 			return nil, fmt.Errorf("server: restore %s: %d trailing blob bits", sb.Name, rem)
 		}
-		sch, err := finishScheme(sb.Name, impl, nw.Graph(), e.chaos, 0)
-		if err != nil {
-			return nil, fmt.Errorf("server: restore %s: %w", sb.Name, err)
-		}
-		st.add(sb.Name, sch)
+		st.add(sb.Name, newScheme(inst, nw.N(), 0))
 	}
 	e.st.Store(st)
 	return e, nil

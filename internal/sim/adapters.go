@@ -20,8 +20,9 @@ var (
 )
 
 // Adapter wraps a scheme as a Router value. Every scheme is a Router
-// itself, so the serving path binds schemes directly; the adapter only
-// keeps the six named router types below, which callers build as
+// itself, so callers bind schemes directly (internal/schemes does); the
+// adapter only keeps the two named router types below, which the
+// benchmark harness's reference walks (_bench/reference.go) build as
 // struct literals ({S: scheme}).
 type Adapter[S Router[H], H Header] struct {
 	S S
@@ -33,14 +34,9 @@ func (a Adapter[S, H]) PrepareHeader(dst int) (H, error) { return a.S.PrepareHea
 // Step implements Router.
 func (a Adapter[S, H]) Step(node int, h H) (int, H, bool, error) { return a.S.Step(node, h) }
 
-// The six schemes' routers. Labeled schemes are addressed by label,
-// name-independent ones by ORIGINAL NAME, baselines by node id (the
-// single tree carries its tree label in the header).
+// The routers _bench/reference.go builds: the labeled scheme is
+// addressed by label, the name-independent one by ORIGINAL NAME.
 type (
-	SimpleLabeledRouter            = Adapter[*labeled.Simple, labeled.SimpleHeader]
-	ScaleFreeLabeledRouter         = Adapter[*labeled.ScaleFree, labeled.SFHeader]
-	NameIndependentRouter          = Adapter[*nameind.Simple, nameind.NIHeader]
-	ScaleFreeNameIndependentRouter = Adapter[*nameind.ScaleFree, nameind.SFNIHeader]
-	FullTableRouter                = Adapter[*baseline.FullTable, baseline.Destination]
-	SingleTreeRouter               = Adapter[*baseline.SingleTree, baseline.TreeHeader]
+	SimpleLabeledRouter   = Adapter[*labeled.Simple, labeled.SimpleHeader]
+	NameIndependentRouter = Adapter[*nameind.Simple, nameind.NIHeader]
 )

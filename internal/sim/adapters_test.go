@@ -68,15 +68,15 @@ func TestAdaptersMatchSequentialRouters(t *testing.T) {
 		{"SimpleLabeledRouter", simple.LabelOf,
 			bindDrivers[labeled.SimpleHeader](g, SimpleLabeledRouter{S: simple}, 0), simple.RouteToLabel},
 		{"ScaleFreeLabeledRouter", free.LabelOf,
-			bindDrivers[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: free}, 64*n), free.RouteToLabel},
+			bindDrivers[labeled.SFHeader](g, free, 64*n), free.RouteToLabel},
 		{"NameIndependentRouter", nm.NameOf,
 			bindDrivers[nameind.NIHeader](g, NameIndependentRouter{S: ni}, 256*n), ni.RouteToName},
 		{"ScaleFreeNameIndependentRouter", nm.NameOf,
-			bindDrivers[nameind.SFNIHeader](g, ScaleFreeNameIndependentRouter{S: sfni}, 512*n), sfni.RouteToName},
+			bindDrivers[nameind.SFNIHeader](g, sfni, 512*n), sfni.RouteToName},
 		{"FullTableRouter", func(dst int) int { return dst },
-			bindDrivers[baseline.Destination](g, FullTableRouter{S: full}, 0), full.RouteToLabel},
+			bindDrivers[baseline.Destination](g, full, 0), full.RouteToLabel},
 		{"SingleTreeRouter", func(dst int) int { return dst },
-			bindDrivers[baseline.TreeHeader](g, SingleTreeRouter{S: tree}, 0), tree.RouteToLabel},
+			bindDrivers[baseline.TreeHeader](g, tree, 0), tree.RouteToLabel},
 	}
 
 	pairs := core.SamplePairs(n, 120, 9)
@@ -182,11 +182,11 @@ func TestRouteOnceHopLimit(t *testing.T) {
 	}
 	a := metric.NewAPSP(g)
 	s := baseline.NewFullTable(g, a)
-	res := RouteOnce[baseline.Destination](g, FullTableRouter{S: s}, 0, 9, 3)
+	res := RouteOnce[baseline.Destination](g, s, 0, 9, 3)
 	if res.Err == nil {
 		t.Fatal("hop limit not enforced")
 	}
-	res = RouteOnce[baseline.Destination](g, FullTableRouter{S: s}, 0, 9, 0)
+	res = RouteOnce[baseline.Destination](g, s, 0, 9, 0)
 	if res.Err != nil || res.Dst != 9 || len(res.Path) != 10 {
 		t.Fatalf("default hop limit run: %+v", res)
 	}

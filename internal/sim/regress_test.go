@@ -28,7 +28,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
-		results := Run[baseline.Destination](g, FullTableRouter{S: s}, deliveries, 0)
+		results := Run[baseline.Destination](g, s, deliveries, 0)
 		for i, res := range results {
 			if res.Err != nil {
 				t.Fatalf("round %d delivery %d: %v", round, i, res.Err)
@@ -59,7 +59,6 @@ func TestHopBudgetBoundaryAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := baseline.NewFullTable(g, metric.NewAPSP(g))
-	r := FullTableRouter{S: s}
 	cases := []struct {
 		dst, maxHops int
 		ok           bool
@@ -72,9 +71,9 @@ func TestHopBudgetBoundaryAligned(t *testing.T) {
 		{8, 1, false},
 	}
 	for _, c := range cases {
-		once := RouteOnce[baseline.Destination](g, r, 0, c.dst, c.maxHops)
-		lite := RouteLite[baseline.Destination](g, r, 0, c.dst, c.maxHops)
-		run := Run[baseline.Destination](g, r, []Delivery{{Src: 0, Dst: c.dst}}, c.maxHops)[0]
+		once := RouteOnce[baseline.Destination](g, s, 0, c.dst, c.maxHops)
+		lite := RouteLite[baseline.Destination](g, s, 0, c.dst, c.maxHops)
+		run := Run[baseline.Destination](g, s, []Delivery{{Src: 0, Dst: c.dst}}, c.maxHops)[0]
 		if (once.Err == nil) != c.ok {
 			t.Errorf("RouteOnce 0->%d maxHops=%d: err=%v, want ok=%v", c.dst, c.maxHops, once.Err, c.ok)
 		}
@@ -140,12 +139,12 @@ func TestRunPrepareErrorsAllAdapters(t *testing.T) {
 	}
 
 	check("full-table", func(bad, good int) [2]Result {
-		r := Run[baseline.Destination](g, FullTableRouter{S: ft},
+		r := Run[baseline.Destination](g, ft,
 			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
 		return [2]Result{r[0], r[1]}
 	}, -5, 1)
 	check("single-tree", func(bad, good int) [2]Result {
-		r := Run[baseline.TreeHeader](g, SingleTreeRouter{S: st},
+		r := Run[baseline.TreeHeader](g, st,
 			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
 		return [2]Result{r[0], r[1]}
 	}, g.N()+3, 1)
@@ -155,7 +154,7 @@ func TestRunPrepareErrorsAllAdapters(t *testing.T) {
 		return [2]Result{r[0], r[1]}
 	}, -1, sl.LabelOf(1))
 	check("scale-free-labeled", func(bad, good int) [2]Result {
-		r := Run[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: sf},
+		r := Run[labeled.SFHeader](g, sf,
 			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 64*g.N())
 		return [2]Result{r[0], r[1]}
 	}, -2, sf.LabelOf(1))
@@ -176,13 +175,12 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := ScaleFreeLabeledRouter{S: s}
 	pairs := core.SamplePairs(g.N(), 120, 28)
 	deliveries := make([]Delivery, len(pairs))
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: s}, deliveries, 64*g.N())
+	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	multiHop := 0
 	for i, res := range results {
 		if res.Err != nil {
@@ -192,7 +190,7 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 			multiHop++
 		}
 		// Manual replay of the same step functions.
-		h, err := r.PrepareHeader(deliveries[i].Dst)
+		h, err := s.PrepareHeader(deliveries[i].Dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +198,7 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 		max := initial
 		at := deliveries[i].Src
 		for {
-			next, nh, arrived, err := r.Step(at, h)
+			next, nh, arrived, err := s.Step(at, h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +217,7 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 		if res.MaxHeaderBits < initial {
 			t.Fatalf("delivery %d: recorded max %d below initial header %d", i, res.MaxHeaderBits, initial)
 		}
-		once := RouteOnce[labeled.SFHeader](g, r, deliveries[i].Src, deliveries[i].Dst, 64*g.N())
+		once := RouteOnce[labeled.SFHeader](g, s, deliveries[i].Src, deliveries[i].Dst, 64*g.N())
 		if once.MaxHeaderBits != res.MaxHeaderBits {
 			t.Fatalf("delivery %d: RouteOnce max %d != Run max %d", i, once.MaxHeaderBits, res.MaxHeaderBits)
 		}

@@ -29,7 +29,7 @@ func TestFullTableConcurrentMatchesSequential(t *testing.T) {
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: p[1]}
 	}
-	results := Run[baseline.Destination](g, FullTableRouter{S: s}, deliveries, 0)
+	results := Run[baseline.Destination](g, s, deliveries, 0)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -92,7 +92,7 @@ func TestSingleTreeConcurrent(t *testing.T) {
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: p[1]}
 	}
-	results := Run[baseline.TreeHeader](g, SingleTreeRouter{S: s}, deliveries, 0)
+	results := Run[baseline.TreeHeader](g, s, deliveries, 0)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -109,7 +109,7 @@ func TestSingleTreeConcurrent(t *testing.T) {
 func TestRunReportsPrepareErrors(t *testing.T) {
 	g, a := fixtures(t, 30, 7)
 	s := baseline.NewFullTable(g, a)
-	results := Run[baseline.Destination](g, FullTableRouter{S: s},
+	results := Run[baseline.Destination](g, s,
 		[]Delivery{{Src: 0, Dst: -5}, {Src: 0, Dst: 1}}, 0)
 	if results[0].Err == nil {
 		t.Fatal("bad destination did not error")
@@ -137,7 +137,7 @@ func TestRunHopLimit(t *testing.T) {
 	if !found {
 		t.Skip("graph is complete")
 	}
-	results := Run[baseline.Destination](g, FullTableRouter{S: s},
+	results := Run[baseline.Destination](g, s,
 		[]Delivery{{Src: far[0], Dst: far[1]}}, 1)
 	if results[0].Err == nil {
 		t.Fatal("hop limit not enforced")
@@ -173,7 +173,7 @@ func TestScaleFreeLabeledConcurrentMatchesSequential(t *testing.T) {
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: s}, deliveries, 64*g.N())
+	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -209,7 +209,7 @@ func TestScaleFreeLabeledConcurrentOnExponentialPath(t *testing.T) {
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: s}, deliveries, 64*g.N())
+	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -276,7 +276,7 @@ func TestScaleFreeNameIndependentConcurrent(t *testing.T) {
 	for i, p := range pairs {
 		deliveries[i] = Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
 	}
-	results := Run[nameind.SFNIHeader](g, ScaleFreeNameIndependentRouter{S: s}, deliveries, 512*g.N())
+	results := Run[nameind.SFNIHeader](g, s, deliveries, 512*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)

@@ -20,18 +20,17 @@ import (
 func TestRouteOnceTracingDisabledAllocs(t *testing.T) {
 	g, a := fixtures(t, 80, 1)
 	s := baseline.NewFullTable(g, a)
-	r := FullTableRouter{S: s}
 	pairs := core.SamplePairs(g.N(), 8, 3)
 
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
 		base := testing.AllocsPerRun(200, func() {
-			if res := RouteOnce[baseline.Destination](g, r, src, dst, 0); res.Err != nil {
+			if res := RouteOnce[baseline.Destination](g, s, src, dst, 0); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		})
 		disabled := testing.AllocsPerRun(200, func() {
-			if res := RouteOnceTraced[baseline.Destination](g, r, src, dst, 0, nil); res.Err != nil {
+			if res := RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, nil); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		})
@@ -48,17 +47,16 @@ func TestRouteOnceTracingDisabledAllocs(t *testing.T) {
 func TestRouteOnceTracedReusesTrace(t *testing.T) {
 	g, a := fixtures(t, 80, 1)
 	s := baseline.NewFullTable(g, a)
-	r := FullTableRouter{S: s}
 	p := core.SamplePairs(g.N(), 1, 3)[0]
 	src, dst := p[0], p[1]
 
 	tr := &trace.Trace{}
-	RouteOnceTraced[baseline.Destination](g, r, src, dst, 0, tr) // warm up the hop slice
+	RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr) // warm up the hop slice
 	base := testing.AllocsPerRun(200, func() {
-		RouteOnce[baseline.Destination](g, r, src, dst, 0)
+		RouteOnce[baseline.Destination](g, s, src, dst, 0)
 	})
 	warm := testing.AllocsPerRun(200, func() {
-		RouteOnceTraced[baseline.Destination](g, r, src, dst, 0, tr)
+		RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr)
 	})
 	if warm > base {
 		t.Fatalf("warm traced route allocates %.1f/run, untraced %.1f/run", warm, base)
@@ -68,34 +66,31 @@ func TestRouteOnceTracedReusesTrace(t *testing.T) {
 func BenchmarkRouteOnce(b *testing.B) {
 	g, a := benchFixtures(b)
 	s := baseline.NewFullTable(g, a)
-	r := FullTableRouter{S: s}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnce[baseline.Destination](g, r, i%g.N(), (i+7)%g.N(), 0)
+		RouteOnce[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0)
 	}
 }
 
 func BenchmarkRouteOnceTracedNil(b *testing.B) {
 	g, a := benchFixtures(b)
 	s := baseline.NewFullTable(g, a)
-	r := FullTableRouter{S: s}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnceTraced[baseline.Destination](g, r, i%g.N(), (i+7)%g.N(), 0, nil)
+		RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, nil)
 	}
 }
 
 func BenchmarkRouteOnceTracedEnabled(b *testing.B) {
 	g, a := benchFixtures(b)
 	s := baseline.NewFullTable(g, a)
-	r := FullTableRouter{S: s}
 	tr := &trace.Trace{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnceTraced[baseline.Destination](g, r, i%g.N(), (i+7)%g.N(), 0, tr)
+		RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, tr)
 	}
 }
 

@@ -3,102 +3,34 @@ package snapshot
 import (
 	"fmt"
 
-	"compactrouting/internal/baseline"
 	"compactrouting/internal/bits"
 	"compactrouting/internal/graph"
-	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
+	"compactrouting/internal/schemes"
 )
 
-// EncodeScheme serializes one compiled scheme under its engine name
-// (internal/server's SchemeNames). Name-independent schemes embed
-// their underlying labeled scheme first, so one blob restores the
-// whole stack.
+// EncodeScheme serializes one compiled scheme under its registry name
+// (internal/schemes). Name-independent schemes embed their underlying
+// labeled scheme first, so one blob restores the whole stack.
 func EncodeScheme(w *bits.Writer, name string, impl any) error {
-	switch name {
-	case "simple-labeled":
-		s, ok := impl.(*labeled.Simple)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		s.EncodeSnapshot(w)
-	case "scale-free-labeled":
-		s, ok := impl.(*labeled.ScaleFree)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		s.EncodeSnapshot(w)
-	case "name-independent":
-		s, ok := impl.(*nameind.Simple)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		under, ok := s.UnderlyingScheme().(*labeled.Simple)
-		if !ok {
-			return fmt.Errorf("snapshot: %s built on %T, want *labeled.Simple", name, s.UnderlyingScheme())
-		}
-		under.EncodeSnapshot(w)
-		s.EncodeSnapshot(w)
-	case "scale-free-name-independent":
-		s, ok := impl.(*nameind.ScaleFree)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		under, ok := s.UnderlyingScheme().(*labeled.ScaleFree)
-		if !ok {
-			return fmt.Errorf("snapshot: %s built on %T, want *labeled.ScaleFree", name, s.UnderlyingScheme())
-		}
-		under.EncodeSnapshot(w)
-		s.EncodeSnapshot(w)
-	case "full-table":
-		s, ok := impl.(*baseline.FullTable)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		s.EncodeSnapshot(w)
-	case "single-tree":
-		s, ok := impl.(*baseline.SingleTree)
-		if !ok {
-			return badImpl(name, impl)
-		}
-		s.EncodeSnapshot(w)
-	default:
-		return fmt.Errorf("snapshot: unknown scheme %q", name)
+	e, err := schemes.Lookup(name)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	return nil
-}
-
-func badImpl(name string, impl any) error {
-	return fmt.Errorf("snapshot: scheme %q has implementation %T", name, impl)
+	return e.EncodeSnapshot(w, impl)
 }
 
 // DecodeScheme restores one scheme from its blob stream against an
 // already-rebuilt graph and oracle. No counted scheme constructor runs:
 // every path goes through the Restore* codecs.
 func DecodeScheme(r *bits.Reader, name string, g *graph.Graph, a metric.Distancer) (any, error) {
-	switch name {
-	case "simple-labeled":
-		return labeled.RestoreSimple(r, g, a)
-	case "scale-free-labeled":
-		return labeled.RestoreScaleFree(r, g, a)
-	case "name-independent":
-		under, err := labeled.RestoreSimple(r, g, a)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.RestoreSimple(r, g, a, under)
-	case "scale-free-name-independent":
-		under, err := labeled.RestoreScaleFree(r, g, a)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.RestoreScaleFree(r, g, a, under)
-	case "full-table":
-		return baseline.RestoreFullTable(g, a), nil
-	case "single-tree":
-		return baseline.RestoreSingleTree(r, g)
-	default:
-		return nil, fmt.Errorf("snapshot: unknown scheme %q", name)
+	e, err := schemes.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
+	inst, err := e.Restore(r, g, a)
+	if err != nil {
+		return nil, err
+	}
+	return inst.Impl, nil
 }

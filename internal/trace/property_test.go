@@ -24,39 +24,11 @@ import (
 
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
-	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
+	"compactrouting/internal/schemes"
 	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
 )
-
-// harness erases a scheme's header type behind closures so the sweep
-// can treat all four schemes uniformly. Destinations are NODE ids; addr
-// translates to the scheme's address space (label or name).
-type harness struct {
-	bound float64
-	route func(src, dst int, tr *trace.Trace) sim.Result
-	// runAll drives the pairs through the concurrent simulator with one
-	// trace per delivery.
-	runAll func(pairs [][2]int, traces []*trace.Trace) []sim.Result
-}
-
-func bindHarness[H sim.Header](g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int, bound float64) harness {
-	return harness{
-		bound: bound,
-		route: func(src, dst int, tr *trace.Trace) sim.Result {
-			return sim.RouteOnceTraced(g, r, src, addr(dst), maxHops, tr)
-		},
-		runAll: func(pairs [][2]int, traces []*trace.Trace) []sim.Result {
-			ds := make([]sim.Delivery, len(pairs))
-			for i, p := range pairs {
-				ds[i] = sim.Delivery{Src: p[0], Dst: addr(p[1])}
-			}
-			return sim.RunTraced(g, r, ds, maxHops, traces)
-		},
-	}
-}
 
 var propertySchemes = []string{
 	"simple-labeled",
@@ -65,48 +37,14 @@ var propertySchemes = []string{
 	"scale-free-name-independent",
 }
 
-// buildHarness compiles one scheme over the graph with the hop budgets
-// cmd/routesim and internal/server use.
-func buildHarness(scheme string, g *graph.Graph, a *metric.APSP, seed int64) (harness, error) {
-	n := g.N()
-	const eps = 0.25
-	switch scheme {
-	case "simple-labeled":
-		s, err := labeled.NewSimple(g, a, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		return bindHarness(g, sim.SimpleLabeledRouter{S: s}, s.LabelOf, 0, s.StretchBound()), nil
-	case "scale-free-labeled":
-		s, err := labeled.NewScaleFree(g, a, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		return bindHarness(g, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, 64*n, s.StretchBound()), nil
-	case "name-independent":
-		under, err := labeled.NewSimple(g, a, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		nm := nameind.RandomNaming(n, seed+2)
-		s, err := nameind.NewSimple(g, a, nm, under, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		return bindHarness(g, sim.NameIndependentRouter{S: s}, nm.NameOf, 256*n, s.StretchBound()), nil
-	case "scale-free-name-independent":
-		under, err := labeled.NewScaleFree(g, a, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		nm := nameind.RandomNaming(n, seed+2)
-		s, err := nameind.NewScaleFree(g, a, nm, under, eps)
-		if err != nil {
-			return harness{}, err
-		}
-		return bindHarness(g, sim.ScaleFreeNameIndependentRouter{S: s}, nm.NameOf, 512*n, s.StretchBound()), nil
+// buildScheme compiles one scheme over the graph through the registry,
+// which carries each scheme's hop budget and stretch bound.
+func buildScheme(scheme string, g *graph.Graph, a *metric.APSP, seed int64) (*schemes.Instance, error) {
+	e, err := schemes.Lookup(scheme)
+	if err != nil {
+		return nil, err
 	}
-	return harness{}, fmt.Errorf("unknown scheme %q", scheme)
+	return e.Build(g, a, 0.25, seed+2)
 }
 
 var propertyFamilies = []string{"path", "ring", "grid-holes", "geometric"}
@@ -199,7 +137,7 @@ func TestTracePropertySweep(t *testing.T) {
 			g, a := buildGraph(t, family, size, seed)
 			pairs := core.SamplePairs(g.N(), pairsPerGraph, seed*31+int64(size))
 			for _, scheme := range propertySchemes {
-				h, err := buildHarness(scheme, g, a, seed)
+				sc, err := buildScheme(scheme, g, a, seed)
 				if err != nil {
 					t.Fatalf("%s on %s n=%d seed=%d: %v", scheme, family, size, seed, err)
 				}
@@ -207,13 +145,13 @@ func TestTracePropertySweep(t *testing.T) {
 				replay := &trace.Trace{}
 				for i, p := range pairs {
 					ctx := fmt.Sprintf("%s %s n=%d seed=%d pair=(%d,%d)", scheme, family, g.N(), seed, p[0], p[1])
-					res := h.route(p[0], p[1], tr)
-					checkTraced(t, ctx, g, a, p[0], p[1], h.bound, res, tr)
+					res := sc.Traced(p[0], p[1], tr)
+					checkTraced(t, ctx, g, a, p[0], p[1], sc.StretchBound, res, tr)
 					routed[scheme]++
 					// Replay determinism: the first pairs of every cell
 					// re-route and must marshal to identical bytes.
 					if i < 4 {
-						h.route(p[0], p[1], replay)
+						sc.Traced(p[0], p[1], replay)
 						if !bytes.Equal(tr.Marshal(), replay.Marshal()) {
 							t.Fatalf("%s: replay produced different bytes", ctx)
 						}
@@ -236,7 +174,7 @@ func TestTraceBytesAcrossGOMAXPROCS(t *testing.T) {
 	g, a := buildGraph(t, "geometric", 64, 5)
 	pairs := core.SamplePairs(g.N(), 32, 7)
 	for _, scheme := range propertySchemes {
-		h, err := buildHarness(scheme, g, a, 5)
+		sc, err := buildScheme(scheme, g, a, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -244,7 +182,7 @@ func TestTraceBytesAcrossGOMAXPROCS(t *testing.T) {
 		want := make([][]byte, len(pairs))
 		for i, p := range pairs {
 			tr := &trace.Trace{}
-			if res := h.route(p[0], p[1], tr); res.Err != nil {
+			if res := sc.Traced(p[0], p[1], tr); res.Err != nil {
 				t.Fatalf("%s pair (%d,%d): %v", scheme, p[0], p[1], res.Err)
 			}
 			want[i] = tr.Marshal()
@@ -255,7 +193,7 @@ func TestTraceBytesAcrossGOMAXPROCS(t *testing.T) {
 			for i := range traces {
 				traces[i] = &trace.Trace{}
 			}
-			results := h.runAll(pairs, traces)
+			results := sc.Run(pairs, traces)
 			runtime.GOMAXPROCS(old)
 			for i := range pairs {
 				if results[i].Err != nil {
@@ -275,7 +213,7 @@ func TestTraceBytesAcrossGOMAXPROCS(t *testing.T) {
 // traced, and the untraced ones still route correctly.
 func TestTraceSparseRunTraced(t *testing.T) {
 	g, a := buildGraph(t, "grid-holes", 48, 3)
-	h, err := buildHarness("simple-labeled", g, a, 3)
+	sc, err := buildScheme("simple-labeled", g, a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +224,7 @@ func TestTraceSparseRunTraced(t *testing.T) {
 			traces[i] = &trace.Trace{}
 		}
 	}
-	results := h.runAll(pairs, traces)
+	results := sc.Run(pairs, traces)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("pair %d: %v", i, res.Err)

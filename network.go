@@ -46,18 +46,6 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// newOracle compiles the named backend for g.
-func (b Backend) newOracle(g *graph.Graph) (metric.Distancer, error) {
-	switch b {
-	case "", BackendDense:
-		return metric.NewAPSP(g), nil
-	case BackendLazy:
-		return metric.NewLazyOracle(g), nil
-	default:
-		return nil, fmt.Errorf("compactrouting: unknown backend %q (want dense|lazy)", string(b))
-	}
-}
-
 // Network is a preprocessed network: the graph plus its shortest-path
 // metric oracle. All scheme constructors hang off it, so the metric
 // preprocessing (the dense matrix, or the lazy backend's row cache) is
@@ -94,9 +82,9 @@ func wrap(g *graph.Graph) *Network {
 }
 
 func wrapOn(g *graph.Graph, backend Backend) (*Network, error) {
-	a, err := backend.newOracle(g)
+	a, err := metric.NewBackend(g, string(backend))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compactrouting: %w", err)
 	}
 	return &Network{g: g, dist: a}, nil
 }
