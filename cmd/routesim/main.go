@@ -1,5 +1,5 @@
 // Command routesim runs a routing scheme under the concurrent
-// message-passing simulator (internal/sim): every node is a goroutine,
+// message-passing model (walk.Run): every node is a goroutine,
 // every hop a message, and forwarding decisions are pure functions of
 // (local table, packet header). It reports delivery statistics and
 // cross-checks a sample against the sequential router.

@@ -23,6 +23,7 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/treeroute"
+	"compactrouting/internal/walk"
 )
 
 // FullTable is the stretch-1 full-routing-table scheme.
@@ -59,22 +60,19 @@ func (s *FullTable) TableBits(v int) int { return (s.g.N() - 1) * s.idBits }
 // StretchBound is 1: every route is a shortest path.
 func (s *FullTable) StretchBound() float64 { return 1 }
 
-// RouteToLabel walks the shortest path using per-node next hops.
+// RouteToLabel walks the shortest path (fewer than n hops) using
+// per-node next hops. The header is charged the fixed-width destination
+// id, not the Destination varint the serving plane measures.
 func (s *FullTable) RouteToLabel(src, label int) (*core.Route, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
-	if label < 0 || label >= s.g.N() {
-		return nil, fmt.Errorf("baseline: destination %d out of range", label)
+	r, err := walk.Route[Destination](s.g, s, src, label, 0, nil)
+	if err != nil {
+		return nil, err
 	}
-	tr := core.NewTrace(s.g, src)
-	tr.Header(s.idBits)
-	for tr.At() != label {
-		if err := tr.Hop(s.a.NextHop(tr.At(), label)); err != nil {
-			return nil, err
-		}
-	}
-	return tr.Finish(label)
+	r.MaxHeaderBits = s.idBits
+	return r, nil
 }
 
 // RouteToName is RouteToLabel under the identity naming.
@@ -133,25 +131,19 @@ func (s *SingleTree) TableBits(v int) int {
 // case.
 func (s *SingleTree) StretchBound() float64 { return math.Inf(1) }
 
-// RouteToLabel routes along the tree.
+// RouteToLabel routes along the tree, with treeroute.Route's budget of
+// n+1 hops. The header is the destination's tree label, charged once
+// whether or not the packet moves.
 func (s *SingleTree) RouteToLabel(src, label int) (*core.Route, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
-	if label < 0 || label >= s.g.N() {
-		return nil, fmt.Errorf("baseline: destination %d out of range", label)
-	}
-	tr := core.NewTrace(s.g, src)
-	l := s.scheme.Label(label)
-	tr.Header(l.Bits())
-	path, err := s.scheme.Route(src, l)
+	r, err := walk.Route[TreeHeader](s.g, s, src, label, s.g.N()+1, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.Walk(path); err != nil {
-		return nil, err
-	}
-	return tr.Finish(label)
+	r.MaxHeaderBits = s.scheme.LabelBits(label)
+	return r, nil
 }
 
 // RouteToName is RouteToLabel under the identity naming.

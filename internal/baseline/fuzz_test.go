@@ -9,12 +9,12 @@ import (
 
 	"compactrouting/internal/baseline"
 	"compactrouting/internal/bits"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // encodedSeeds encodes a stride-spaced sample of harvested headers,
 // giving the fuzzers a corpus of real wire forms to mutate.
-func encodedSeeds[H sim.Header](hs []H, max int) [][]byte {
+func encodedSeeds[H walk.Header](hs []H, max int) [][]byte {
 	stride := len(hs) / max
 	if stride < 1 {
 		stride = 1
@@ -72,7 +72,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 // fuzzHeaderCodec: arbitrary bytes either fail to decode or yield a
 // header whose re-encoding is exactly Bits() wide and decodes back to
 // itself. Must never panic or over-allocate on hostile input.
-func fuzzHeaderCodec[H sim.Header](t *testing.T, data []byte, decode func(*bits.Reader) (H, error)) {
+func fuzzHeaderCodec[H walk.Header](t *testing.T, data []byte, decode func(*bits.Reader) (H, error)) {
 	h, err := decode(bits.NewReader(data, 8*len(data)))
 	if err != nil {
 		return

@@ -9,12 +9,12 @@ import (
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // harvest collects every header that appears on real walks so the codec
 // invariants are checked against what the schemes actually emit.
-func harvest[H sim.Header](t testing.TB, r sim.Router[H], pairs [][2]int, maxHops int) []H {
+func harvest[H walk.Header](t testing.TB, r walk.Router[H], pairs [][2]int, maxHops int) []H {
 	t.Helper()
 	var out []H
 	for _, p := range pairs {
@@ -43,7 +43,7 @@ func harvest[H sim.Header](t testing.TB, r sim.Router[H], pairs [][2]int, maxHop
 }
 
 // checkCodec pins Writer.Len() == Bits() and a clean decode round trip.
-func checkCodec[H sim.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
+func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
 	t.Helper()
 	if len(hs) == 0 {
 		t.Fatal("no headers harvested")

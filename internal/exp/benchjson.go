@@ -62,7 +62,7 @@ type BenchOpts struct {
 	// a prebuilt APSP, so only the caller saw that phase's clock).
 	ApspMS float64
 	// Trace routes the sweep through the schemes' traced walkers
-	// (sim.RouteOnceTraced) instead of the sequential evaluators and
+	// (walk.RouteOnceTraced) instead of the sequential evaluators and
 	// adds the per-phase detour decomposition to every record. The two
 	// paths execute identical step functions, so every other field is
 	// unchanged — and with Timing off the traced JSON stays a pure

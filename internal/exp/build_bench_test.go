@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"compactrouting/internal/labeled"
+	"compactrouting/internal/nameind"
 )
 
 // Construction benchmarks for the four scheme compilers, at the two
@@ -58,7 +59,7 @@ func BenchmarkBuildScaleFreeLabeled(b *testing.B) {
 func BenchmarkBuildNameInd(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := buildNameIndSimple(env, 0.25, 7); err != nil {
+			if _, err := build[*nameind.Simple](env, "name-independent", 0.25, 7); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,7 +69,7 @@ func BenchmarkBuildNameInd(b *testing.B) {
 func BenchmarkBuildScaleFreeNameInd(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := buildNameIndScaleFree(env, 0.25, 7); err != nil {
+			if _, err := build[*nameind.ScaleFree](env, "scale-free-name-independent", 0.25, 7); err != nil {
 				b.Fatal(err)
 			}
 		}

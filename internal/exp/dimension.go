@@ -8,6 +8,7 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
+	"compactrouting/internal/nameind"
 )
 
 // Dimension regenerates the dependence on the doubling dimension: every
@@ -34,7 +35,7 @@ func Dimension(w io.Writer, eps float64, pairCount int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		ni, err := buildNameIndScaleFree(e, eps, seed)
+		ni, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 		if err != nil {
 			return err
 		}

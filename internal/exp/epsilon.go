@@ -6,6 +6,7 @@ import (
 
 	"compactrouting/internal/core"
 	"compactrouting/internal/labeled"
+	"compactrouting/internal/nameind"
 )
 
 // Epsilon regenerates the stretch/space trade-off in eps that all four
@@ -46,7 +47,7 @@ func Epsilon(w io.Writer, e *Env, pairCount int, seed int64) error {
 			eps, st.Max, st.Mean, tb.MaxBits, tb.MeanBits, st.MaxHeader)
 	}
 	for _, eps := range []float64{0.1, 0.25, 1.0 / 3} {
-		s, err := buildNameIndSimple(e, eps, seed)
+		s, err := build[*nameind.Simple](e, "name-independent", eps, seed)
 		if err != nil {
 			return err
 		}
@@ -59,7 +60,7 @@ func Epsilon(w io.Writer, e *Env, pairCount int, seed int64) error {
 			eps, st.Max, st.Mean, tb.MaxBits, tb.MeanBits, st.MaxHeader)
 	}
 	for _, eps := range []float64{0.1, 0.2, 0.25} {
-		s, err := buildNameIndScaleFree(e, eps, seed)
+		s, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 		if err != nil {
 			return err
 		}

@@ -19,9 +19,8 @@ import (
 
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
-	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
+	"compactrouting/internal/schemes"
 )
 
 // Env is one benchmark network with its metric oracle. A holds
@@ -37,7 +36,8 @@ type Env struct {
 // EnvOn builds a named workload family on an explicit distance backend
 // — the switchboard behind cmd/routebench's -backend flag and the
 // APSP-free experiment family. Kinds: geometric, grid-holes, exp-path,
-// unit-path, power-law.
+// unit-path, power-law. Its power-law family is graph.PowerLaw(n, 2, 8,
+// seed); compactrouting.GenerateNetwork (routed) and _bench use 1024.
 func EnvOn(kind string, n int, seed int64, backend string) (*Env, error) {
 	var (
 		g   *graph.Graph
@@ -145,22 +145,20 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// buildNameIndSimple compiles the Theorem 1.4 scheme on env.
-func buildNameIndSimple(e *Env, eps float64, seed int64) (*nameind.Simple, error) {
-	under, err := labeled.NewSimple(e.G, e.A, eps)
+// build compiles the registered scheme name on env through its
+// registry entry — ε clamped to the entry's cap, original names drawn
+// from seed — and returns the concrete scheme, which must be an S.
+func build[S any](e *Env, name string, eps float64, seed int64) (S, error) {
+	var s S
+	entry, err := schemes.Lookup(name)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
-	return nameind.NewSimple(e.G, e.A, nameind.RandomNaming(e.G.N(), seed), under, eps)
-}
-
-// buildNameIndScaleFree compiles the Theorem 1.1 scheme on env.
-func buildNameIndScaleFree(e *Env, eps float64, seed int64) (*nameind.ScaleFree, error) {
-	under, err := labeled.NewScaleFree(e.G, e.A, eps)
+	inst, err := entry.Build(e.G, e.A, eps, seed)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
-	return nameind.NewScaleFree(e.G, e.A, nameind.RandomNaming(e.G.N(), seed), under, eps)
+	return inst.Impl.(S), nil
 }
 
 // logn returns ceil(log2 n) as a float for bound columns.

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+
+	"compactrouting/internal/nameind"
 )
 
 // Fig1 regenerates Figure 1 — the anatomy of a name-independent
@@ -14,7 +16,7 @@ import (
 // 2^{j+2}(1/eps+1) + d(u,v), inflated by the underlying scheme's
 // (1+O(eps)) routing factor (Eqn 4).
 func Fig1(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
-	s, err := buildNameIndSimple(e, minf(eps, 0.25), seed)
+	s, err := build[*nameind.Simple](e, "name-independent", minf(eps, 0.25), seed)
 	if err != nil {
 		return err
 	}

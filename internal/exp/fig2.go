@@ -14,7 +14,7 @@ import (
 // route), and how often the Claim 4.6 window
 // r_{u_t}(j)/(3 eps) < d(u_t, v) < r_{u_t}(j+1)/5 held.
 func Fig2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
-	s, err := labeled.NewScaleFree(e.G, e.A, minf(eps, 0.25))
+	s, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"compactrouting/internal/labeled"
+	"compactrouting/internal/nameind"
 )
 
 // Overhead measures the price of name independence — the paper's
@@ -20,7 +21,7 @@ func Overhead(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error
 	if err != nil {
 		return err
 	}
-	ni, err := buildNameIndScaleFree(e, eps, seed)
+	ni, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 	if err != nil {
 		return err
 	}

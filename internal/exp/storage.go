@@ -8,6 +8,7 @@ import (
 	"compactrouting/internal/core"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
+	"compactrouting/internal/nameind"
 )
 
 // Storage regenerates the space-scaling claim behind Lemmas 3.3, 3.8
@@ -52,14 +53,14 @@ func Storage(w io.Writer, sizes []int, base float64, seed int64) error {
 			row = append(row, float64(core.Tables(s.TableBits, n).MaxBits))
 		}
 		for _, e := range []*Env{unit, expo} {
-			s, err := buildNameIndSimple(e, 0.25, seed)
+			s, err := build[*nameind.Simple](e, "name-independent", 0.25, seed)
 			if err != nil {
 				return err
 			}
 			row = append(row, float64(core.Tables(s.TableBits, n).MaxBits))
 		}
 		for _, e := range []*Env{unit, expo} {
-			s, err := buildNameIndScaleFree(e, 0.25, seed)
+			s, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", 0.25, seed)
 			if err != nil {
 				return err
 			}

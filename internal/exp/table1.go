@@ -7,6 +7,7 @@ import (
 	"compactrouting/internal/baseline"
 	"compactrouting/internal/core"
 	"compactrouting/internal/metric"
+	"compactrouting/internal/nameind"
 )
 
 // Table1 regenerates the paper's Table 1 — name-independent routing
@@ -26,7 +27,7 @@ func Table1(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 	}
 	var rows []row
 
-	simple, err := buildNameIndSimple(e, minf(eps, 1.0/3), seed)
+	simple, err := build[*nameind.Simple](e, "name-independent", eps, seed)
 	if err != nil {
 		return err
 	}
@@ -43,7 +44,7 @@ func Table1(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 		tb:         core.Tables(simple.TableBits, e.G.N()),
 	})
 
-	free, err := buildNameIndScaleFree(e, minf(eps, 0.25), seed)
+	free, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 	if err != nil {
 		return err
 	}

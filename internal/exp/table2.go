@@ -30,7 +30,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 	}
 	var rows []row
 
-	simple, err := labeled.NewSimple(e.G, e.A, minf(eps, 0.5))
+	simple, err := build[*labeled.Simple](e, "simple-labeled", eps, seed)
 	if err != nil {
 		return err
 	}
@@ -48,7 +48,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 		tb:         core.Tables(simple.TableBits, e.G.N()),
 	})
 
-	free, err := labeled.NewScaleFree(e.G, e.A, minf(eps, 0.25))
+	free, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,8 @@
 // seeded deterministic FaultPlan, with a source-side reliability layer
 // (retries with exponential backoff and jitter, per-delivery deadline).
 //
-// It executes deliveries through the exact same sim.Router step
-// functions as internal/sim — the fault layer sits between hops, never
+// It executes deliveries through the exact same step functions and hop
+// loop as internal/walk — the fault layer sits between hops, never
 // inside a forwarding decision, so the local-decision property the
 // paper's schemes are analyzed under is preserved: a node's table and
 // the packet header alone determine the next hop, and faults only decide
@@ -28,8 +28,8 @@ import (
 	"math"
 
 	"compactrouting/internal/graph"
-	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
+	"compactrouting/internal/walk"
 )
 
 // Window is a half-open outage interval [From, Until) in virtual time.
@@ -66,8 +66,8 @@ type EdgeLoss struct {
 }
 
 // FaultPlan describes what is injected. The zero value injects nothing:
-// executions are hop-identical to internal/sim's by construction, since
-// both run sim.Walk and the fault layer only observes its hops.
+// executions are hop-identical to internal/walk's by construction, since
+// both run walk.Walk and the fault layer only observes its hops.
 type FaultPlan struct {
 	// Seed keys every random draw. Two plans with equal fields produce
 	// identical fault sequences.
@@ -120,7 +120,7 @@ type Result struct {
 	// Sim is the walk of the final attempt (the successful one when
 	// Delivered, otherwise the last try). Sim.Err is set only for
 	// non-retryable routing errors, never for injected drops.
-	Sim sim.Result
+	Sim walk.Result
 	// Delivered reports whether any attempt reached the destination.
 	Delivered bool
 	// Attempts is the number of transmissions performed (>= 1).
@@ -283,25 +283,25 @@ func (in *Injector) backoff(rel Reliability, delivery, attempt uint64) float64 {
 	return b
 }
 
-// faults is the fault layer as a sim.Observer: it decides whether each
+// faults is the fault layer as a walk.Observer: it decides whether each
 // checked hop's transmission survives — edge and node up checks, the
 // loss draw — and keeps the attempt's virtual clock. The recorder it
 // embeds logs the surviving walk (and the trace).
-type faults[H sim.Header] struct {
-	sim.Recorder[H]
+type faults[H walk.Header] struct {
+	walk.Recorder[H]
 	in      *Injector
 	id, att uint64
 	t       float64
 }
 
-// Begin implements sim.Observer: a packet originating at a down node is
+// Begin implements walk.Observer: a packet originating at a down node is
 // lost at its source.
 func (f *faults[H]) Begin(src, headerBits int) bool {
 	f.Recorder.Begin(src, headerBits)
 	return f.in.nodeUp(src, f.t)
 }
 
-// Hop implements sim.Observer.
+// Hop implements walk.Observer.
 func (f *faults[H]) Hop(at, next int, nh H, headerBits int, w float64) bool {
 	hop := uint64(len(f.Path) - 1)
 	// The transmission leaves at time t over edge (at, next)...
@@ -320,16 +320,16 @@ func (f *faults[H]) Hop(at, next int, nh H, headerBits int, w float64) bool {
 	return f.Recorder.Hop(at, next, nh, headerBits, w)
 }
 
-// attempt walks one transmission through sim.Walk with the fault layer
+// attempt walks one transmission through walk.Walk with the fault layer
 // observing every hop. It returns the partial or complete walk, whether
 // the packet was dropped by an injected fault, and the virtual end
 // time. res.Err is set only for non-retryable routing errors. Each
 // attempt restarts the trace: the surviving hop log describes the final
 // attempt's walk, matching Result.Sim.
-func attempt[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
-	in *Injector, id, att uint64, start float64, tr *trace.Trace) (res sim.Result, dropped bool, end float64) {
-	f := &faults[H]{Recorder: sim.Recorder[H]{Trace: tr}, in: in, id: id, att: att, t: start}
-	lr := sim.Walk[H](g, r, src, dst, maxHops, f)
+func attempt[H walk.Header](g *graph.Graph, r walk.Router[H], src, dst, maxHops int,
+	in *Injector, id, att uint64, start float64, tr *trace.Trace) (res walk.Result, dropped bool, end float64) {
+	f := &faults[H]{Recorder: walk.Recorder[H]{Trace: tr}, in: in, id: id, att: att, t: start}
+	lr := walk.Walk[H](g, r, src, dst, maxHops, f)
 	return f.Result(src, lr), lr.Dropped, f.t
 }
 
@@ -340,7 +340,7 @@ func attempt[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops in
 // Virtual time is per delivery and starts at 0 at the first
 // transmission; the plan's outage windows are interpreted on that
 // clock.
-func Deliver[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
+func Deliver[H walk.Header](g *graph.Graph, r walk.Router[H], src, dst, maxHops int,
 	in *Injector, rel Reliability, id uint64) Result {
 	return DeliverTraced(g, r, src, dst, maxHops, in, rel, id, nil)
 }
@@ -349,7 +349,7 @@ func Deliver[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops in
 // the trace, so the surviving hop log matches Result.Sim (the final
 // attempt's walk); the trace's Attempts and Drops fields report the
 // whole delivery. A nil tr takes the exact Deliver path.
-func DeliverTraced[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
+func DeliverTraced[H walk.Header](g *graph.Graph, r walk.Router[H], src, dst, maxHops int,
 	in *Injector, rel Reliability, id uint64, tr *trace.Trace) Result {
 	if maxHops <= 0 {
 		maxHops = 8 * g.N()
@@ -391,8 +391,8 @@ func DeliverTraced[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxH
 // Run executes the deliveries under the plan, one result per delivery
 // (index-aligned, delivery i using random stream i). With a zero plan
 // and zero Reliability every result's Sim field is identical to what
-// sim.Run / sim.RouteOnce produce for the same delivery.
-func Run[H sim.Header](g *graph.Graph, r sim.Router[H], deliveries []sim.Delivery,
+// walk.Run / walk.RouteOnce produce for the same delivery.
+func Run[H walk.Header](g *graph.Graph, r walk.Router[H], deliveries []walk.Delivery,
 	maxHops int, plan FaultPlan, rel Reliability) []Result {
 	in := NewInjector(plan)
 	out := make([]Result, len(deliveries))

@@ -12,7 +12,7 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // erased bundles one scheme's type-erased runners so a single table test
@@ -21,19 +21,19 @@ type erased struct {
 	name    string
 	addr    func(int) int // node id -> scheme address (label or name)
 	maxHops int
-	simRun  func(d []sim.Delivery, maxHops int) []sim.Result
-	fsRun   func(d []sim.Delivery, maxHops int, plan FaultPlan, rel Reliability) []Result
+	simRun  func(d []walk.Delivery, maxHops int) []walk.Result
+	fsRun   func(d []walk.Delivery, maxHops int, plan FaultPlan, rel Reliability) []Result
 }
 
-func erase[H sim.Header](name string, g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int) erased {
+func erase[H walk.Header](name string, g *graph.Graph, r walk.Router[H], addr func(int) int, maxHops int) erased {
 	return erased{
 		name:    name,
 		addr:    addr,
 		maxHops: maxHops,
-		simRun: func(d []sim.Delivery, maxHops int) []sim.Result {
-			return sim.Run(g, r, d, maxHops)
+		simRun: func(d []walk.Delivery, maxHops int) []walk.Result {
+			return walk.Run(g, r, d, maxHops)
 		},
-		fsRun: func(d []sim.Delivery, maxHops int, plan FaultPlan, rel Reliability) []Result {
+		fsRun: func(d []walk.Delivery, maxHops int, plan FaultPlan, rel Reliability) []Result {
 			return Run(g, r, d, maxHops, plan, rel)
 		},
 	}
@@ -78,24 +78,24 @@ func allSchemes(t *testing.T, n int, seed int64) (*graph.Graph, []erased) {
 	return g, []erased{
 		erase("full-table", g, ft, self, 0),
 		erase("single-tree", g, st, self, 0),
-		erase("simple-labeled", g, sim.SimpleLabeledRouter{S: sl}, sl.LabelOf, 0),
+		erase("simple-labeled", g, sl, sl.LabelOf, 0),
 		erase("scale-free-labeled", g, sf, sf.LabelOf, 64*g.N()),
-		erase("name-independent", g, sim.NameIndependentRouter{S: ni}, nm.NameOf, 256*g.N()),
+		erase("name-independent", g, ni, nm.NameOf, 256*g.N()),
 		erase("scale-free-name-independent", g, sfni, nm.NameOf, 512*g.N()),
 	}
 }
 
 // TestZeroPlanMatchesSim is the acceptance gate: under a zero FaultPlan
 // and zero Reliability, faultsim.Run's walks are identical — path, cost,
-// header accounting, destination — to sim.Run's for every scheme.
+// header accounting, destination — to walk.Run's for every scheme.
 func TestZeroPlanMatchesSim(t *testing.T) {
 	g, schemes := allSchemes(t, 80, 21)
 	pairs := core.SamplePairs(g.N(), 200, 22)
 	for _, sc := range schemes {
 		t.Run(sc.name, func(t *testing.T) {
-			deliveries := make([]sim.Delivery, len(pairs))
+			deliveries := make([]walk.Delivery, len(pairs))
 			for i, p := range pairs {
-				deliveries[i] = sim.Delivery{Src: p[0], Dst: sc.addr(p[1])}
+				deliveries[i] = walk.Delivery{Src: p[0], Dst: sc.addr(p[1])}
 			}
 			want := sc.simRun(deliveries, sc.maxHops)
 			got := sc.fsRun(deliveries, sc.maxHops, FaultPlan{}, Reliability{})
@@ -124,9 +124,9 @@ func TestRunDeterministic(t *testing.T) {
 	pairs := core.SamplePairs(g.N(), 150, 32)
 	plan := FaultPlan{Seed: 7, Loss: 0.15, HopLatency: 1, LatencyJitter: 0.5}
 	for _, sc := range schemes[:3] {
-		deliveries := make([]sim.Delivery, len(pairs))
+		deliveries := make([]walk.Delivery, len(pairs))
 		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: sc.addr(p[1])}
+			deliveries[i] = walk.Delivery{Src: p[0], Dst: sc.addr(p[1])}
 		}
 		a := sc.fsRun(deliveries, sc.maxHops, plan, DefaultReliability)
 		b := sc.fsRun(deliveries, sc.maxHops, plan, DefaultReliability)
@@ -144,9 +144,9 @@ func TestRetriesOnlyGrowDeliveredSet(t *testing.T) {
 	pairs := core.SamplePairs(g.N(), 250, 42)
 	plan := FaultPlan{Seed: 9, Loss: 0.2}
 	for _, sc := range schemes {
-		deliveries := make([]sim.Delivery, len(pairs))
+		deliveries := make([]walk.Delivery, len(pairs))
 		for i, p := range pairs {
-			deliveries[i] = sim.Delivery{Src: p[0], Dst: sc.addr(p[1])}
+			deliveries[i] = walk.Delivery{Src: p[0], Dst: sc.addr(p[1])}
 		}
 		once := sc.fsRun(deliveries, sc.maxHops, plan, Reliability{MaxAttempts: 1})
 		retried := sc.fsRun(deliveries, sc.maxHops, plan, DefaultReliability)
@@ -253,7 +253,7 @@ func TestRoutingErrorsAreNotRetried(t *testing.T) {
 	if res.Delivered || res.Attempts != 1 {
 		t.Fatalf("routing error retried: %+v", res)
 	}
-	want := sim.HopLimitError(1).Error()
+	want := walk.HopLimitError(1).Error()
 	if res.Sim.Err == nil || res.Sim.Err.Error() != want {
 		t.Fatalf("error %v, want %q", res.Sim.Err, want)
 	}
@@ -303,7 +303,7 @@ func TestWindowSemantics(t *testing.T) {
 }
 
 func TestHopLimitErrorMentionsBudget(t *testing.T) {
-	if !strings.Contains(sim.HopLimitError(42).Error(), "42") {
+	if !strings.Contains(walk.HopLimitError(42).Error(), "42") {
 		t.Fatal("hop limit error does not name the budget")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
+	"compactrouting/internal/walk"
 )
 
 // TableEntry is one ring record of a Simple table in its wire order:
@@ -68,9 +69,6 @@ type DecodedSimple struct {
 	idBits    int
 	selfLabel []int32
 	rings     [][][]ringEntry
-	// nodeOfLabel is rebuilt from the self labels (used only to
-	// validate arrival, as the destination itself would).
-	nodeOfLabel []int32
 }
 
 // DecodeSimple parses the tables produced by EncodeTable for all n
@@ -81,15 +79,12 @@ func DecodeSimple(g *graph.Graph, tables [][]byte, sizes []int) (*DecodedSimple,
 		return nil, fmt.Errorf("labeled: got %d tables for %d nodes", len(tables), n)
 	}
 	d := &DecodedSimple{
-		g:           g,
-		idBits:      bits.UintBits(n),
-		selfLabel:   make([]int32, n),
-		rings:       make([][][]ringEntry, n),
-		nodeOfLabel: make([]int32, n),
+		g:         g,
+		idBits:    bits.UintBits(n),
+		selfLabel: make([]int32, n),
+		rings:     make([][][]ringEntry, n),
 	}
-	for i := range d.nodeOfLabel {
-		d.nodeOfLabel[i] = -1
-	}
+	labelSeen := make([]bool, n)
 	for v := 0; v < n; v++ {
 		r := bits.NewReader(tables[v], sizes[v])
 		levels, err := r.ReadUvarint()
@@ -101,10 +96,10 @@ func DecodeSimple(g *graph.Graph, tables [][]byte, sizes []int) (*DecodedSimple,
 			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
 		}
 		d.selfLabel[v] = int32(self)
-		if self >= uint64(n) || d.nodeOfLabel[self] != -1 {
+		if self >= uint64(n) || labelSeen[self] {
 			return nil, fmt.Errorf("labeled: table %d: label %d invalid or duplicated", v, self)
 		}
-		d.nodeOfLabel[self] = int32(v)
+		labelSeen[self] = true
 		d.rings[v] = make([][]ringEntry, levels)
 		for l := range d.rings[v] {
 			count, err := r.ReadUvarint()
@@ -166,29 +161,15 @@ func (d *DecodedSimple) Step(w int, h SimpleHeader) (int, SimpleHeader, bool, er
 	return int(e.next), h, false, nil
 }
 
+// PrepareHeader returns the initial header for a delivery to label.
+func (d *DecodedSimple) PrepareHeader(label int) (SimpleHeader, error) {
+	if label < 0 || label >= d.g.N() {
+		return SimpleHeader{}, fmt.Errorf("labeled: label %d out of range", label)
+	}
+	return SimpleHeader{Label: int32(label), Target: -1}, nil
+}
+
 // RouteToLabel delivers a packet using decoded tables only.
 func (d *DecodedSimple) RouteToLabel(src, label int) (*core.Route, error) {
-	if label < 0 || label >= d.g.N() {
-		return nil, fmt.Errorf("labeled: label %d out of range", label)
-	}
-	tr := core.NewTrace(d.g, src)
-	h := SimpleHeader{Label: int32(label), Target: -1}
-	maxSteps := 8 * d.g.N() * len(d.rings[src])
-	for step := 0; ; step++ {
-		if step > maxSteps {
-			return nil, fmt.Errorf("labeled: decoded routing loop to label %d", label)
-		}
-		next, nh, arrived, err := d.Step(tr.At(), h)
-		if err != nil {
-			return nil, err
-		}
-		if arrived {
-			return tr.Finish(int(d.nodeOfLabel[label]))
-		}
-		tr.Header(nh.Bits())
-		if err := tr.Hop(next); err != nil {
-			return nil, err
-		}
-		h = nh
-	}
+	return walk.Route[SimpleHeader](d.g, d, src, label, 8*d.g.N()*len(d.rings[src]), nil)
 }

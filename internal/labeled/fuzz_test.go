@@ -9,12 +9,12 @@ import (
 
 	"compactrouting/internal/bits"
 	"compactrouting/internal/labeled"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // encodedSeeds encodes a stride-spaced sample of harvested headers,
 // giving the fuzzers a corpus of real wire forms to mutate.
-func encodedSeeds[H sim.Header](hs []H, max int) [][]byte {
+func encodedSeeds[H walk.Header](hs []H, max int) [][]byte {
 	stride := len(hs) / max
 	if stride < 1 {
 		stride = 1
@@ -48,7 +48,7 @@ func simpleSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodedSeeds(harvest(tb, sim.SimpleLabeledRouter{S: s}, s.LabelOf, pairs[:16], 8*g.N()), 8)
+	return encodedSeeds(harvest(tb, s, s.LabelOf, pairs[:16], 8*g.N()), 8)
 }
 
 func sfSeeds(tb testing.TB) [][]byte {
@@ -76,7 +76,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 // decoder fed arbitrary bytes either rejects them or yields a header
 // whose re-encoding is exactly Bits() wide and decodes back to itself.
 // It must never panic or over-allocate on hostile input.
-func fuzzHeaderCodec[H sim.Header](t *testing.T, data []byte, decode func(*bits.Reader) (H, error)) {
+func fuzzHeaderCodec[H walk.Header](t *testing.T, data []byte, decode func(*bits.Reader) (H, error)) {
 	h, err := decode(bits.NewReader(data, 8*len(data)))
 	if err != nil {
 		return

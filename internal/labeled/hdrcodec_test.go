@@ -9,14 +9,14 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // harvest collects every header that appears on real walks — the
 // Prepare output and each Step rewrite — so the codec invariants are
 // checked against the field combinations the schemes actually emit,
 // not hand-built samples.
-func harvest[H sim.Header](t testing.TB, r sim.Router[H], addr func(int) int, pairs [][2]int, maxHops int) []H {
+func harvest[H walk.Header](t testing.TB, r walk.Router[H], addr func(int) int, pairs [][2]int, maxHops int) []H {
 	t.Helper()
 	var out []H
 	for _, p := range pairs {
@@ -48,7 +48,7 @@ func harvest[H sim.Header](t testing.TB, r sim.Router[H], addr func(int) int, pa
 // the encoder emits exactly Bits() bits (so the bit accounting the
 // experiments report is the real wire size), and decoding those bits
 // reproduces the header with nothing left over.
-func checkCodec[H sim.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
+func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
 	t.Helper()
 	if len(hs) == 0 {
 		t.Fatal("no headers harvested")
@@ -88,7 +88,7 @@ func TestSimpleHeaderCodecMatchesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := harvest(t, sim.SimpleLabeledRouter{S: s}, s.LabelOf, pairs, 8*g.N())
+	hs := harvest(t, s, s.LabelOf, pairs, 8*g.N())
 	checkCodec(t, hs, labeled.DecodeSimpleHeader)
 }
 

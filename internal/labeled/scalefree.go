@@ -13,6 +13,7 @@ import (
 	"compactrouting/internal/rnet"
 	"compactrouting/internal/searchtree"
 	"compactrouting/internal/treeroute"
+	"compactrouting/internal/walk"
 )
 
 // sfLevel is one stored level of R(u): the level index i, the packing
@@ -341,37 +342,15 @@ func (s *ScaleFree) phaseAHeader() int {
 	return s.idBits + bits.UvarintLen(uint64(s.h.TopLevel()+1)) + 2
 }
 
-// RouteToLabel implements Algorithm 5 by iterating the local Step
-// function: every forwarding decision is a function of the current
-// node's compiled state and the packet header.
+// RouteToLabel implements Algorithm 5 by walking the local Step
+// function (walk.Route): every forwarding decision is a function of the
+// current node's compiled state and the packet header. The route is
+// marked Fallback when any header, the arrival step's included, took a
+// safety net.
 func (s *ScaleFree) RouteToLabel(src, label int) (*core.Route, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("labeled: source %d out of range", src)
 	}
-	h, err := s.PrepareHeader(label)
-	if err != nil {
-		return nil, err
-	}
-	tr := core.NewTrace(s.g, src)
-	maxSteps := 16 * s.g.N() * (s.h.TopLevel() + 2)
-	for step := 0; ; step++ {
-		if step > maxSteps {
-			return nil, fmt.Errorf("labeled: no progress routing to label %d", label)
-		}
-		next, nh, arrived, err := s.Step(tr.At(), h)
-		if err != nil {
-			return nil, err
-		}
-		if nh.Fallback {
-			tr.MarkFallback()
-		}
-		if arrived {
-			return tr.Finish(s.nt.NodeOfLabel(label))
-		}
-		tr.Header(nh.Bits())
-		if err := tr.Hop(next); err != nil {
-			return nil, err
-		}
-		h = nh
-	}
+	return walk.Route[SFHeader](s.g, s, src, label, 16*s.g.N()*(s.h.TopLevel()+2),
+		func(h SFHeader) bool { return h.Fallback })
 }

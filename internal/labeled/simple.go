@@ -35,6 +35,7 @@ import (
 	"compactrouting/internal/metric"
 	"compactrouting/internal/par"
 	"compactrouting/internal/rnet"
+	"compactrouting/internal/walk"
 )
 
 // ringEntry is one ring record in a node's table: the net point x, the
@@ -230,36 +231,14 @@ func (s *Simple) minimalHit(v, label int) (int, *ringEntry, bool) {
 }
 
 // RouteToLabel delivers a packet from src to the node labeled label by
-// iterating the local Step function. Every forwarding decision reads
-// only the current node's table and the packet header (destination
-// label + current intermediate target).
+// walking the local Step function (walk.Route). Every forwarding
+// decision reads only the current node's table and the packet header
+// (destination label + current intermediate target).
 func (s *Simple) RouteToLabel(src, label int) (*core.Route, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("labeled: source %d out of range", src)
 	}
-	h, err := s.PrepareHeader(label)
-	if err != nil {
-		return nil, err
-	}
-	tr := core.NewTrace(s.g, src)
-	maxSteps := 4 * s.g.N() * (s.h.TopLevel() + 2)
-	for step := 0; ; step++ {
-		if step > maxSteps {
-			return nil, fmt.Errorf("labeled: no progress routing to label %d", label)
-		}
-		next, nh, arrived, err := s.Step(tr.At(), h)
-		if err != nil {
-			return nil, err
-		}
-		if arrived {
-			return tr.Finish(s.nt.NodeOfLabel(label))
-		}
-		tr.Header(nh.Bits())
-		if err := tr.Hop(next); err != nil {
-			return nil, err
-		}
-		h = nh
-	}
+	return walk.Route[SimpleHeader](s.g, s, src, label, 4*s.g.N()*(s.h.TopLevel()+2), nil)
 }
 
 // MaxLevel exposes the hierarchy height (log Delta) for reports.

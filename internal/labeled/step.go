@@ -8,7 +8,7 @@ import (
 
 // SimpleHeader is the packet header of the simple labeled scheme,
 // factored out so the scheme can run as a pure per-node step function
-// (e.g. under the message-passing simulator in internal/sim): the
+// (e.g. under walk.Run, the message-passing model): the
 // destination label, the current intermediate net point x = v(i), and
 // its level. Target < 0 means "no target acquired".
 type SimpleHeader struct {

@@ -229,6 +229,7 @@ var DeterministicPaths = map[string]bool{
 	"compactrouting/internal/exp":       true,
 	"compactrouting/internal/faultsim":  true,
 	"compactrouting/internal/sim":       true,
+	"compactrouting/internal/walk":      true,
 	"compactrouting/internal/ballpack":  true,
 	"compactrouting/internal/treeroute": true,
 	"compactrouting/internal/tz":        true,

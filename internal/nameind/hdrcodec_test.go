@@ -10,13 +10,13 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // harvest collects every header that appears on real walks — the
 // Prepare output and each Step rewrite — so the codec invariants are
 // checked against the field combinations the schemes actually emit.
-func harvest[H sim.Header](t testing.TB, r sim.Router[H], addr func(int) int, pairs [][2]int, maxHops int) []H {
+func harvest[H walk.Header](t testing.TB, r walk.Router[H], addr func(int) int, pairs [][2]int, maxHops int) []H {
 	t.Helper()
 	var out []H
 	for _, p := range pairs {
@@ -46,7 +46,7 @@ func harvest[H sim.Header](t testing.TB, r sim.Router[H], addr func(int) int, pa
 
 // checkCodec pins Writer.Len() == Bits() and a clean decode round trip
 // for each harvested header.
-func checkCodec[H sim.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
+func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
 	t.Helper()
 	if len(hs) == 0 {
 		t.Fatal("no headers harvested")
@@ -90,7 +90,7 @@ func TestNIHeaderCodecMatchesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := harvest(t, sim.NameIndependentRouter{S: s}, nm.NameOf, pairs, 256*g.N())
+	hs := harvest(t, s, nm.NameOf, pairs, 256*g.N())
 	checkCodec(t, hs, nameind.DecodeNIHeader)
 }
 

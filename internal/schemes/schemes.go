@@ -22,7 +22,7 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
-	"compactrouting/internal/sim"
+	"compactrouting/internal/walk"
 )
 
 // The scheme kinds, as reported by GET /schemes.
@@ -205,20 +205,20 @@ func Resolve(names []string) ([]Entry, error) {
 
 // impl is what every registered scheme provides beyond its step
 // function.
-type impl[H sim.Header] interface {
-	sim.Router[H]
+type impl[H walk.Header] interface {
+	walk.Router[H]
 	TableBits(v int) int
 	StretchBound() float64
 }
 
 // spec is one scheme written out with its concrete types: the Entry
 // every table row is.
-type spec[S impl[H], H sim.Header] struct {
+type spec[S impl[H], H walk.Header] struct {
 	name, kind string
 	// epsCap is the largest ε the scheme is analysed for; zero means
 	// the scheme takes no ε.
 	epsCap float64
-	// hopsPerNode is the hop budget per node; 0 selects the simulator's
+	// hopsPerNode is the hop budget per node; 0 selects the walk's
 	// default (8n).
 	hopsPerNode int
 	build       func(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (S, error)

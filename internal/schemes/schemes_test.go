@@ -13,6 +13,7 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
+	"compactrouting/internal/trace"
 )
 
 // renamedFullTable is a scheme the registry does not hold: the full
@@ -32,7 +33,8 @@ var renamedFullTable = &spec[*baseline.FullTable, baseline.Destination]{
 }
 
 // TestRegistryConformance holds every entry, and the test-local one, to
-// the registry's contract on both distance backends: the snapshot blob
+// the registry's contract on both distance backends: the header type
+// classifies its hops for the trace layer, the snapshot blob
 // round-trips byte for byte, the restored walker walks like the built
 // one, every walk matches the scheme's sequential evaluator, and no
 // route exceeds the entry's stretch bound.
@@ -43,6 +45,11 @@ func TestRegistryConformance(t *testing.T) {
 	}
 	pairs := core.SamplePairs(g.N(), 60, 9)
 	for _, e := range append(All(), renamedFullTable) {
+		// A header that does not implement trace.Phased would silently
+		// trace as PhaseDirect.
+		if !e.(interface{ headerPhased() bool }).headerPhased() {
+			t.Errorf("%s: header type does not implement trace.Phased", e.Name())
+		}
 		for _, backend := range []string{"dense", "lazy"} {
 			t.Run(e.Name()+"/"+backend, func(t *testing.T) {
 				a, err := metric.NewBackend(g, backend)
@@ -130,6 +137,14 @@ func checkWalks(t *testing.T, built, restored *Instance, a metric.Distancer, pai
 			t.Fatalf("pair %v: stretch %.4f exceeds bound %.4f", p, lite.Cost/d, built.StretchBound)
 		}
 	}
+}
+
+// headerPhased reports whether the entry's header type implements
+// trace.Phased.
+func (sp *spec[S, H]) headerPhased() bool {
+	var h H
+	_, ok := any(h).(trace.Phased)
+	return ok
 }
 
 // TestRegistryLookups pins the table's order and the lookups' errors.

@@ -4,37 +4,37 @@ import (
 	"compactrouting/internal/core"
 	"compactrouting/internal/faultsim"
 	"compactrouting/internal/graph"
-	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
+	"compactrouting/internal/walk"
 )
 
-// Walker is a scheme's sim.Router with its header type erased. Every
+// Walker is a scheme's walk.Router with its header type erased. Every
 // destination is a node id; the walker translates it into the scheme's
-// address. All walks run the one sim.Walk hop loop, so a traced, a
+// address. All walks run the one walk.Walk hop loop, so a traced, a
 // fault-free or a concurrent route is byte-identical to a shape-only one.
 type Walker interface {
-	// Lite is sim.RouteLite: the shape of the walk, allocation-free.
+	// Lite is walk.RouteLite: the shape of the walk, allocation-free.
 	//
 	//determinlint:hotpath
-	Lite(src, dst int) sim.LiteResult
-	// Traced is sim.RouteOnceTraced: the path, and the hop log when tr
+	Lite(src, dst int) walk.LiteResult
+	// Traced is walk.RouteOnceTraced: the path, and the hop log when tr
 	// is non-nil.
-	Traced(src, dst int, tr *trace.Trace) sim.Result
+	Traced(src, dst int, tr *trace.Trace) walk.Result
 	// Deliver is faultsim.DeliverTraced: one delivery under the
 	// injector's faults with the reliability layer's retries.
 	Deliver(src, dst int, in *faultsim.Injector, rel faultsim.Reliability, id uint64, tr *trace.Trace) faultsim.Result
-	// Run is sim.RunTraced over node-id pairs: one goroutine per node.
+	// Run is walk.RunTraced over node-id pairs: one goroutine per node.
 	// traces may be nil or len(pairs) long.
-	Run(pairs [][2]int, traces []*trace.Trace) []sim.Result
+	Run(pairs [][2]int, traces []*trace.Trace) []walk.Result
 	// Route is the scheme's own sequential evaluator (RouteToLabel or
 	// RouteToName), the reference the step-function walks must match.
 	Route(src, dst int) (*core.Route, error)
 }
 
 // walker is the one Walker implementation, generic over the header.
-type walker[H sim.Header] struct {
+type walker[H walk.Header] struct {
 	g *graph.Graph
-	r sim.Router[H]
+	r walk.Router[H]
 	// addr maps a node id to the scheme's address.
 	//
 	//determinlint:hotpath
@@ -46,13 +46,13 @@ type walker[H sim.Header] struct {
 // Lite implements Walker.
 //
 //determinlint:hotpath
-func (w *walker[H]) Lite(src, dst int) sim.LiteResult {
-	return sim.RouteLite(w.g, w.r, src, w.addr(dst), w.maxHops)
+func (w *walker[H]) Lite(src, dst int) walk.LiteResult {
+	return walk.RouteLite(w.g, w.r, src, w.addr(dst), w.maxHops)
 }
 
 // Traced implements Walker.
-func (w *walker[H]) Traced(src, dst int, tr *trace.Trace) sim.Result {
-	return sim.RouteOnceTraced(w.g, w.r, src, w.addr(dst), w.maxHops, tr)
+func (w *walker[H]) Traced(src, dst int, tr *trace.Trace) walk.Result {
+	return walk.RouteOnceTraced(w.g, w.r, src, w.addr(dst), w.maxHops, tr)
 }
 
 // Deliver implements Walker.
@@ -61,12 +61,12 @@ func (w *walker[H]) Deliver(src, dst int, in *faultsim.Injector, rel faultsim.Re
 }
 
 // Run implements Walker.
-func (w *walker[H]) Run(pairs [][2]int, traces []*trace.Trace) []sim.Result {
-	ds := make([]sim.Delivery, len(pairs))
+func (w *walker[H]) Run(pairs [][2]int, traces []*trace.Trace) []walk.Result {
+	ds := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		ds[i] = sim.Delivery{Src: p[0], Dst: w.addr(p[1])}
+		ds[i] = walk.Delivery{Src: p[0], Dst: w.addr(p[1])}
 	}
-	return sim.RunTraced(w.g, w.r, ds, w.maxHops, traces)
+	return walk.RunTraced(w.g, w.r, ds, w.maxHops, traces)
 }
 
 // Route implements Walker.

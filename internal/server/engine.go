@@ -9,12 +9,12 @@
 //	                        >--  Engine.route  ->  route cache (direct-mapped slots)
 //	TCP frames ------------/          |
 //	                          one walker per scheme (internal/schemes):
-//	                          sim.Walk over the scheme's sim.Router
+//	                          walk.Walk over the scheme's walk.Router
 //
 // Every query on either plane goes through Engine.route, and every
-// scheme is driven as an internal/sim Router — the same
+// scheme is driven as a walk.Router — the same
 // pure (table, header) step functions validated by the concurrent
-// simulator — so a served route is byte-identical to the scheme's
+// walk.Run — so a served route is byte-identical to the scheme's
 // analyzed walk. The engine is race-clean: scheme tables are immutable
 // after compilation, per-query state lives in the packet header, and
 // reload swaps the whole immutable state atomically.
@@ -35,8 +35,8 @@ import (
 	"compactrouting/internal/metric"
 	"compactrouting/internal/par"
 	"compactrouting/internal/schemes"
-	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
+	"compactrouting/internal/walk"
 )
 
 // SchemeNames are the schemes the engine can compile, in report order:
@@ -172,7 +172,7 @@ type scheme struct {
 // walked is one bound walk's outcome: its shape, plus what the query
 // asked for beyond it.
 type walked struct {
-	sim.LiteResult
+	walk.LiteResult
 	// path is the node sequence; nil unless a path or trace was asked
 	// for (or the engine injects faults).
 	path []int
@@ -331,7 +331,7 @@ func newScheme(inst *schemes.Instance, n int, buildMillis float64) *scheme {
 // recorded runs one walk that records more than its shape: the path,
 // the hop log when tr is non-nil, and under fault injection a faultsim
 // delivery with a fresh delivery id, so each query draws its own
-// faults. It runs the same sim.Walk hop loop as the shape-only
+// faults. It runs the same walk.Walk hop loop as the shape-only
 // Walker.Lite, so its route is byte-identical; only failures read
 // differently: a shape-only walk returns the step function's error
 // bare, while a recorded walk names the node it happened at.
@@ -349,8 +349,8 @@ func (e *Engine) recorded(inst *schemes.Instance, src, dst int, tr *trace.Trace)
 }
 
 // shape reduces a path-carrying result to its shape.
-func shape(res sim.Result) sim.LiteResult {
-	return sim.LiteResult{Dst: res.Dst, Hops: len(res.Path) - 1, MaxHeaderBits: res.MaxHeaderBits, Cost: res.Cost, Err: res.Err}
+func shape(res walk.Result) walk.LiteResult {
+	return walk.LiteResult{Dst: res.Dst, Hops: len(res.Path) - 1, MaxHeaderBits: res.MaxHeaderBits, Cost: res.Cost, Err: res.Err}
 }
 
 // Route answers one query, consulting the cache first. The result is

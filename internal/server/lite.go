@@ -4,7 +4,7 @@ import "compactrouting/internal/frame"
 
 // RouteLite answers one binary-plane query: scheme addressed by compile
 // order index, result as a wire shape (no path). It is Engine.route
-// without a path or trace, so a cache hit or a sim.RouteLite miss
+// without a path or trace, so a cache hit or a walk.RouteLite miss
 // performs zero heap allocations; TestFramedRoutePathAllocs pins the
 // full decode→route→encode cycle at 0 allocs/op for both outcomes.
 // Counts, latency and route-shape observations land in the same

@@ -10,12 +10,15 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
+	"compactrouting/internal/walk"
 )
 
-// TestAdaptersMatchSequentialRouters drives every adapter in
-// adapters.go through RouteOnce on a small fixed graph and asserts the
-// walk is identical to the scheme's own RouteTo* method: the adapters
-// must be pure plumbing, never a second routing implementation.
+// TestAdaptersMatchSequentialRouters drives every scheme's router (the
+// shim's two adapters included) through RouteOnce, RouteLite and Run on
+// a small fixed graph and asserts the walk is identical to the scheme's
+// own RouteTo* method. The labeled and baseline RouteToLabels are
+// themselves walk.Route calls; internal/walk's TestRouteToLabelMatchesFrozenLoop
+// pins them to the hand-written loops they replaced.
 func TestAdaptersMatchSequentialRouters(t *testing.T) {
 	g, err := graph.Grid(5, 5)
 	if err != nil {
@@ -82,9 +85,9 @@ func TestAdaptersMatchSequentialRouters(t *testing.T) {
 	pairs := core.SamplePairs(n, 120, 9)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			deliveries := make([]Delivery, len(pairs))
+			deliveries := make([]walk.Delivery, len(pairs))
 			for i, p := range pairs {
-				deliveries[i] = Delivery{Src: p[0], Dst: tc.addr(p[1])}
+				deliveries[i] = walk.Delivery{Src: p[0], Dst: tc.addr(p[1])}
 			}
 			concurrent := tc.drv.run(deliveries)
 			for i, p := range pairs {
@@ -138,14 +141,14 @@ func TestAdaptersMatchSequentialRouters(t *testing.T) {
 type drivers struct {
 	once func(src, addr int) Result
 	lite func(src, addr int) LiteResult
-	run  func(deliveries []Delivery) []Result
+	run  func(deliveries []walk.Delivery) []Result
 }
 
-func bindDrivers[H Header](g *graph.Graph, r Router[H], maxHops int) drivers {
+func bindDrivers[H walk.Header](g *graph.Graph, r walk.Router[H], maxHops int) drivers {
 	return drivers{
 		once: func(src, addr int) Result { return RouteOnce(g, r, src, addr, maxHops) },
 		lite: func(src, addr int) LiteResult { return RouteLite(g, r, src, addr, maxHops) },
-		run:  func(deliveries []Delivery) []Result { return Run(g, r, deliveries, maxHops) },
+		run:  func(deliveries []walk.Delivery) []walk.Result { return walk.Run(g, r, deliveries, maxHops) },
 	}
 }
 
@@ -182,11 +185,11 @@ func TestRouteOnceHopLimit(t *testing.T) {
 	}
 	a := metric.NewAPSP(g)
 	s := baseline.NewFullTable(g, a)
-	res := RouteOnce[baseline.Destination](g, s, 0, 9, 3)
+	res := walk.RouteOnce[baseline.Destination](g, s, 0, 9, 3)
 	if res.Err == nil {
 		t.Fatal("hop limit not enforced")
 	}
-	res = RouteOnce[baseline.Destination](g, s, 0, 9, 0)
+	res = walk.RouteOnce[baseline.Destination](g, s, 0, 9, 0)
 	if res.Err != nil || res.Dst != 9 || len(res.Path) != 10 {
 		t.Fatalf("default hop limit run: %+v", res)
 	}

@@ -11,6 +11,7 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
+	"compactrouting/internal/walk"
 )
 
 // TestRunLeaksNoGoroutines regression-tests the detached forward
@@ -20,15 +21,15 @@ import (
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	g, a := fixtures(t, 60, 19)
 	s := baseline.NewFullTable(g, a)
-	var deliveries []Delivery
+	var deliveries []walk.Delivery
 	for src := 0; src < g.N(); src++ {
 		for k := 0; k < 12; k++ {
-			deliveries = append(deliveries, Delivery{Src: src, Dst: 0})
+			deliveries = append(deliveries, walk.Delivery{Src: src, Dst: 0})
 		}
 	}
 	before := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
-		results := Run[baseline.Destination](g, s, deliveries, 0)
+		results := walk.Run[baseline.Destination](g, s, deliveries, 0)
 		for i, res := range results {
 			if res.Err != nil {
 				t.Fatalf("round %d delivery %d: %v", round, i, res.Err)
@@ -71,9 +72,9 @@ func TestHopBudgetBoundaryAligned(t *testing.T) {
 		{8, 1, false},
 	}
 	for _, c := range cases {
-		once := RouteOnce[baseline.Destination](g, s, 0, c.dst, c.maxHops)
-		lite := RouteLite[baseline.Destination](g, s, 0, c.dst, c.maxHops)
-		run := Run[baseline.Destination](g, s, []Delivery{{Src: 0, Dst: c.dst}}, c.maxHops)[0]
+		once := walk.RouteOnce[baseline.Destination](g, s, 0, c.dst, c.maxHops)
+		lite := walk.RouteLite[baseline.Destination](g, s, 0, c.dst, c.maxHops)
+		run := walk.Run[baseline.Destination](g, s, []walk.Delivery{{Src: 0, Dst: c.dst}}, c.maxHops)[0]
 		if (once.Err == nil) != c.ok {
 			t.Errorf("RouteOnce 0->%d maxHops=%d: err=%v, want ok=%v", c.dst, c.maxHops, once.Err, c.ok)
 		}
@@ -84,7 +85,7 @@ func TestHopBudgetBoundaryAligned(t *testing.T) {
 			t.Errorf("Run 0->%d maxHops=%d: err=%v, want ok=%v", c.dst, c.maxHops, run.Err, c.ok)
 		}
 		if !c.ok {
-			want := HopLimitError(c.maxHops).Error()
+			want := walk.HopLimitError(c.maxHops).Error()
 			if once.Err.Error() != want || lite.Err.Error() != want || run.Err.Error() != want {
 				t.Errorf("0->%d maxHops=%d: errors diverge: RouteOnce %q, RouteLite %q, Run %q, want %q",
 					c.dst, c.maxHops, once.Err, lite.Err, run.Err, want)
@@ -124,7 +125,7 @@ func TestRunPrepareErrorsAllAdapters(t *testing.T) {
 	}
 	ft := baseline.NewFullTable(g, a)
 
-	check := func(name string, run func(bad, good int) [2]Result, bad, good int) {
+	check := func(name string, run func(bad, good int) [2]walk.Result, bad, good int) {
 		t.Helper()
 		res := run(bad, good)
 		if res[0].Err == nil {
@@ -138,30 +139,30 @@ func TestRunPrepareErrorsAllAdapters(t *testing.T) {
 		}
 	}
 
-	check("full-table", func(bad, good int) [2]Result {
-		r := Run[baseline.Destination](g, ft,
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
+	check("full-table", func(bad, good int) [2]walk.Result {
+		r := walk.Run[baseline.Destination](g, ft,
+			[]walk.Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
+		return [2]walk.Result{r[0], r[1]}
 	}, -5, 1)
-	check("single-tree", func(bad, good int) [2]Result {
-		r := Run[baseline.TreeHeader](g, st,
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
+	check("single-tree", func(bad, good int) [2]walk.Result {
+		r := walk.Run[baseline.TreeHeader](g, st,
+			[]walk.Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
+		return [2]walk.Result{r[0], r[1]}
 	}, g.N()+3, 1)
-	check("simple-labeled", func(bad, good int) [2]Result {
-		r := Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: sl},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
+	check("simple-labeled", func(bad, good int) [2]walk.Result {
+		r := walk.Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: sl},
+			[]walk.Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
+		return [2]walk.Result{r[0], r[1]}
 	}, -1, sl.LabelOf(1))
-	check("scale-free-labeled", func(bad, good int) [2]Result {
-		r := Run[labeled.SFHeader](g, sf,
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 64*g.N())
-		return [2]Result{r[0], r[1]}
+	check("scale-free-labeled", func(bad, good int) [2]walk.Result {
+		r := walk.Run[labeled.SFHeader](g, sf,
+			[]walk.Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 64*g.N())
+		return [2]walk.Result{r[0], r[1]}
 	}, -2, sf.LabelOf(1))
-	check("name-independent", func(bad, good int) [2]Result {
-		r := Run[nameind.NIHeader](g, NameIndependentRouter{S: ni},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 256*g.N())
-		return [2]Result{r[0], r[1]}
+	check("name-independent", func(bad, good int) [2]walk.Result {
+		r := walk.Run[nameind.NIHeader](g, NameIndependentRouter{S: ni},
+			[]walk.Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 256*g.N())
+		return [2]walk.Result{r[0], r[1]}
 	}, -7, nm.NameOf(1))
 }
 
@@ -176,11 +177,11 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 120, 28)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
+	results := walk.Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	multiHop := 0
 	for i, res := range results {
 		if res.Err != nil {
@@ -217,7 +218,7 @@ func TestMaxHeaderBitsMonotone(t *testing.T) {
 		if res.MaxHeaderBits < initial {
 			t.Fatalf("delivery %d: recorded max %d below initial header %d", i, res.MaxHeaderBits, initial)
 		}
-		once := RouteOnce[labeled.SFHeader](g, s, deliveries[i].Src, deliveries[i].Dst, 64*g.N())
+		once := walk.RouteOnce[labeled.SFHeader](g, s, deliveries[i].Src, deliveries[i].Dst, 64*g.N())
 		if once.MaxHeaderBits != res.MaxHeaderBits {
 			t.Fatalf("delivery %d: RouteOnce max %d != Run max %d", i, once.MaxHeaderBits, res.MaxHeaderBits)
 		}

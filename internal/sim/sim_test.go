@@ -10,6 +10,7 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
+	"compactrouting/internal/walk"
 )
 
 func fixtures(t *testing.T, n int, seed int64) (*graph.Graph, *metric.APSP) {
@@ -25,11 +26,11 @@ func TestFullTableConcurrentMatchesSequential(t *testing.T) {
 	g, a := fixtures(t, 120, 1)
 	s := baseline.NewFullTable(g, a)
 	pairs := core.SamplePairs(g.N(), 300, 2)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: p[1]}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: p[1]}
 	}
-	results := Run[baseline.Destination](g, s, deliveries, 0)
+	results := walk.Run[baseline.Destination](g, s, deliveries, 0)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -55,11 +56,11 @@ func TestSimpleLabeledConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 300, 4)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: s}, deliveries, 0)
+	results := walk.Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: s}, deliveries, 0)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -88,11 +89,11 @@ func TestSingleTreeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 200, 6)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: p[1]}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: p[1]}
 	}
-	results := Run[baseline.TreeHeader](g, s, deliveries, 0)
+	results := walk.Run[baseline.TreeHeader](g, s, deliveries, 0)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -109,8 +110,8 @@ func TestSingleTreeConcurrent(t *testing.T) {
 func TestRunReportsPrepareErrors(t *testing.T) {
 	g, a := fixtures(t, 30, 7)
 	s := baseline.NewFullTable(g, a)
-	results := Run[baseline.Destination](g, s,
-		[]Delivery{{Src: 0, Dst: -5}, {Src: 0, Dst: 1}}, 0)
+	results := walk.Run[baseline.Destination](g, s,
+		[]walk.Delivery{{Src: 0, Dst: -5}, {Src: 0, Dst: 1}}, 0)
 	if results[0].Err == nil {
 		t.Fatal("bad destination did not error")
 	}
@@ -137,8 +138,8 @@ func TestRunHopLimit(t *testing.T) {
 	if !found {
 		t.Skip("graph is complete")
 	}
-	results := Run[baseline.Destination](g, s,
-		[]Delivery{{Src: far[0], Dst: far[1]}}, 1)
+	results := walk.Run[baseline.Destination](g, s,
+		[]walk.Delivery{{Src: far[0], Dst: far[1]}}, 1)
 	if results[0].Err == nil {
 		t.Fatal("hop limit not enforced")
 	}
@@ -150,8 +151,8 @@ func TestHeaderAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: s},
-		[]Delivery{{Src: 0, Dst: s.LabelOf(g.N() - 1)}}, 0)
+	results := walk.Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: s},
+		[]walk.Delivery{{Src: 0, Dst: s.LabelOf(g.N() - 1)}}, 0)
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
 	}
@@ -169,11 +170,11 @@ func TestScaleFreeLabeledConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 250, 12)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
+	results := walk.Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -205,11 +206,11 @@ func TestScaleFreeLabeledConcurrentOnExponentialPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 300, 13)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: s.LabelOf(p[1])}
 	}
-	results := Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
+	results := walk.Run[labeled.SFHeader](g, s, deliveries, 64*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -234,11 +235,11 @@ func TestNameIndependentConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 200, 16)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
 	}
-	results := Run[nameind.NIHeader](g, NameIndependentRouter{S: s}, deliveries, 256*g.N())
+	results := walk.Run[nameind.NIHeader](g, NameIndependentRouter{S: s}, deliveries, 256*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)
@@ -272,11 +273,11 @@ func TestScaleFreeNameIndependentConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := core.SamplePairs(g.N(), 150, 18)
-	deliveries := make([]Delivery, len(pairs))
+	deliveries := make([]walk.Delivery, len(pairs))
 	for i, p := range pairs {
-		deliveries[i] = Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
+		deliveries[i] = walk.Delivery{Src: p[0], Dst: nm.NameOf(p[1])}
 	}
-	results := Run[nameind.SFNIHeader](g, s, deliveries, 512*g.N())
+	results := walk.Run[nameind.SFNIHeader](g, s, deliveries, 512*g.N())
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("delivery %d: %v", i, res.Err)

@@ -9,6 +9,7 @@ import (
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/trace"
+	"compactrouting/internal/walk"
 )
 
 // TestRouteOnceTracingDisabledAllocs pins the zero-overhead-when-
@@ -25,12 +26,12 @@ func TestRouteOnceTracingDisabledAllocs(t *testing.T) {
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
 		base := testing.AllocsPerRun(200, func() {
-			if res := RouteOnce[baseline.Destination](g, s, src, dst, 0); res.Err != nil {
+			if res := walk.RouteOnce[baseline.Destination](g, s, src, dst, 0); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		})
 		disabled := testing.AllocsPerRun(200, func() {
-			if res := RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, nil); res.Err != nil {
+			if res := walk.RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, nil); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		})
@@ -51,12 +52,12 @@ func TestRouteOnceTracedReusesTrace(t *testing.T) {
 	src, dst := p[0], p[1]
 
 	tr := &trace.Trace{}
-	RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr) // warm up the hop slice
+	walk.RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr) // warm up the hop slice
 	base := testing.AllocsPerRun(200, func() {
-		RouteOnce[baseline.Destination](g, s, src, dst, 0)
+		walk.RouteOnce[baseline.Destination](g, s, src, dst, 0)
 	})
 	warm := testing.AllocsPerRun(200, func() {
-		RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr)
+		walk.RouteOnceTraced[baseline.Destination](g, s, src, dst, 0, tr)
 	})
 	if warm > base {
 		t.Fatalf("warm traced route allocates %.1f/run, untraced %.1f/run", warm, base)
@@ -69,7 +70,7 @@ func BenchmarkRouteOnce(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnce[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0)
+		walk.RouteOnce[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0)
 	}
 }
 
@@ -79,7 +80,7 @@ func BenchmarkRouteOnceTracedNil(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, nil)
+		walk.RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, nil)
 	}
 }
 
@@ -90,7 +91,7 @@ func BenchmarkRouteOnceTracedEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, tr)
+		walk.RouteOnceTraced[baseline.Destination](g, s, i%g.N(), (i+7)%g.N(), 0, tr)
 	}
 }
 
@@ -106,15 +107,16 @@ func benchFixtures(b *testing.B) (*graph.Graph, *metric.APSP) {
 // TestPhaseOfDefaultsToDirect pins the fallback classification for
 // headers that do not implement trace.Phased.
 func TestPhaseOfDefaultsToDirect(t *testing.T) {
-	if got := PhaseOf(plainHeader{}); got != trace.PhaseDirect {
+	if got := walk.PhaseOf(plainHeader{}); got != trace.PhaseDirect {
 		t.Fatalf("unclassified header phase = %v, want direct", got)
 	}
-	// The six adapter headers classify themselves (compile-asserted in
-	// adapters.go); spot-check two mappings here.
-	if got := PhaseOf(baseline.TreeHeader{}); got != trace.PhaseTree {
+	// Every registered scheme's header classifies itself (checked by
+	// internal/schemes' TestRegistryConformance); spot-check two
+	// mappings here.
+	if got := walk.PhaseOf(baseline.TreeHeader{}); got != trace.PhaseTree {
 		t.Fatalf("TreeHeader phase = %v, want tree", got)
 	}
-	if got := PhaseOf(labeled.SFHeader{Phase: labeled.SFPhaseFinal}); got != trace.PhaseFinal {
+	if got := walk.PhaseOf(labeled.SFHeader{Phase: labeled.SFPhaseFinal}); got != trace.PhaseFinal {
 		t.Fatalf("SFHeader final phase = %v, want final", got)
 	}
 }

@@ -26,8 +26,8 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/schemes"
-	"compactrouting/internal/sim"
 	"compactrouting/internal/trace"
+	"compactrouting/internal/walk"
 )
 
 var propertySchemes = []string{
@@ -79,7 +79,7 @@ func buildGraph(t *testing.T, family string, n int, seed int64) (*graph.Graph, *
 }
 
 // checkTraced verifies every per-route property for one traced result.
-func checkTraced(t *testing.T, ctx string, g *graph.Graph, a *metric.APSP, src, dst int, bound float64, res sim.Result, tr *trace.Trace) {
+func checkTraced(t *testing.T, ctx string, g *graph.Graph, a *metric.APSP, src, dst int, bound float64, res walk.Result, tr *trace.Trace) {
 	t.Helper()
 	if res.Err != nil {
 		t.Fatalf("%s: route failed: %v", ctx, res.Err)

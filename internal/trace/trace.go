@@ -7,8 +7,8 @@
 // weight — plus a per-route summary that decomposes stretch into those
 // phases.
 //
-// The layer is zero-overhead when disabled: internal/sim and
-// internal/faultsim thread an optional *Trace through their step loops
+// The layer is zero-overhead when disabled: internal/walk and
+// internal/faultsim thread an optional *Trace through the hop loop
 // and skip every trace instruction when it is nil (pinned by an
 // allocation test in internal/sim). When enabled, a trace is a pure
 // function of (scheme tables, src, dst): byte-for-byte identical
@@ -64,7 +64,7 @@ func (p Phase) String() string {
 }
 
 // Phased is implemented by packet headers that classify the hops they
-// ride; internal/sim consults it per traced hop. Headers without it
+// ride; internal/walk consults it per traced hop. Headers without it
 // trace as PhaseDirect.
 type Phased interface {
 	TracePhase() Phase

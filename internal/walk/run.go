@@ -1,21 +1,20 @@
-// Package sim runs routing schemes under a concurrent message-passing
-// model: every node is a goroutine owning only its local state, packets
-// are messages between neighbor mailboxes, and a forwarding decision is
-// a pure step function of (node table, packet header).
-//
-// The sequential traces produced by the schemes' RouteTo* methods
-// already make only local decisions, but a central loop drives them;
-// this simulator removes the loop. Running the same scheme both ways
-// and getting identical paths demonstrates that no hidden shared state
-// leaks between hops — the distributed-correctness claim behind every
-// compact routing result.
+// Package walk is the one hop loop below the routing schemes: every
+// scheme is a per-node step function (Router), and Walk drives a packet
+// through it. The schemes' RouteToLabel (through Route), RouteLite,
+// RouteOnce and the fault layer all call Walk; Run is the concurrent
+// message-passing model — one goroutine per node, packets as messages
+// between neighbor mailboxes — applying the same per-hop function.
+// Identical paths both ways show that no hidden shared state leaks
+// between hops, the distributed-correctness claim behind every compact
+// routing result. walk imports only graph, trace and core, so the
+// schemes can call it.
 //
 // This package is bound by the repo's deterministic ruleset: its
 // outputs must be a pure function of explicit seeds (determinlint
 // enforces the source-level contract; see DESIGN.md §Static analysis).
 //
 //determinlint:deterministic
-package sim
+package walk
 
 import (
 	"fmt"
@@ -52,6 +51,18 @@ type Router[H Header] interface {
 	//determinlint:hotpath
 	Step(node int, h H) (next int, nh H, arrived bool, err error)
 }
+
+// Adapter wraps a scheme as a Router value; internal/sim's two named
+// router types alias it (every scheme is a Router itself).
+type Adapter[S Router[H], H Header] struct {
+	S S
+}
+
+// PrepareHeader implements Router.
+func (a Adapter[S, H]) PrepareHeader(dst int) (H, error) { return a.S.PrepareHeader(dst) }
+
+// Step implements Router.
+func (a Adapter[S, H]) Step(node int, h H) (int, H, bool, error) { return a.S.Step(node, h) }
 
 // Result is the outcome of one simulated delivery.
 type Result struct {
@@ -99,7 +110,7 @@ type Delivery struct {
 // at most maxHops hops (the arrival step at the final node is free),
 // and the packet fails when a further forward would be hop maxHops+1.
 func HopLimitError(maxHops int) error {
-	return fmt.Errorf("sim: packet exceeded hop budget %d", maxHops)
+	return fmt.Errorf("walk: packet exceeded hop budget %d", maxHops)
 }
 
 // RouteOnce drives one delivery through Walk with a path recorder: the

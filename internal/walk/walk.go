@@ -1,4 +1,4 @@
-package sim
+package walk
 
 import (
 	"fmt"
@@ -26,6 +26,11 @@ type Observer[H Header] interface {
 	//
 	//determinlint:hotpath
 	Hop(at, next int, nh H, headerBits int, w float64) bool
+	// Arrive is called with the header of the step that reported
+	// arrival at at: the one header Hop never sees.
+	//
+	//determinlint:hotpath
+	Arrive(at int, h H)
 }
 
 // LiteResult is the shape of one walk: where it arrived, how many hops
@@ -86,12 +91,15 @@ func (c *cursor[H]) advance(g *graph.Graph, r Router[H], maxHops int, obs Observ
 	next, nh, arrived, err := r.Step(c.at, c.h)
 	if err != nil {
 		if obs != nil {
-			return false, fmt.Errorf("sim: step at %d: %w", c.at, err)
+			return false, fmt.Errorf("walk: step at %d: %w", c.at, err)
 		}
 		return false, err
 	}
 	if arrived {
 		c.res.Dst = c.at
+		if obs != nil {
+			obs.Arrive(c.at, nh)
+		}
 		return false, nil
 	}
 	if c.res.Hops >= maxHops {
@@ -100,7 +108,7 @@ func (c *cursor[H]) advance(g *graph.Graph, r Router[H], maxHops int, obs Observ
 	w, ok := g.NeighborWeight(c.at, next)
 	if !ok {
 		if obs != nil {
-			return false, fmt.Errorf("sim: step at %d forwarded to non-neighbor %d", c.at, next)
+			return false, fmt.Errorf("walk: step at %d forwarded to non-neighbor %d", c.at, next)
 		}
 		return false, ErrNonNeighbor
 	}
@@ -121,9 +129,8 @@ func (c *cursor[H]) advance(g *graph.Graph, r Router[H], maxHops int, obs Observ
 
 // Walk drives one delivery from src to the address dst (a label or a
 // name, matching the Router) through the router's step function. It is
-// the only loop over Step outside the schemes' own sequential
-// evaluators (RouteToLabel, RouteToName). maxHops <= 0 selects the 8n
-// default.
+// the only loop over Step in non-test code (Run's node goroutines apply
+// its per-hop function, advance). maxHops <= 0 selects the 8n default.
 //
 // obs may be nil: the walk then records only its shape and allocates
 // nothing, which is what the binary serving plane pins at 0 allocs/op.
@@ -186,6 +193,9 @@ func (rec *Recorder[H]) Hop(at, next int, nh H, headerBits int, w float64) bool 
 	return true
 }
 
+// Arrive implements Observer; the recorder has nothing to add.
+func (rec *Recorder[H]) Arrive(int, H) {}
+
 // Result assembles the Result of the walk src -> lr.Dst this recorder
 // observed. A walk whose Prepare failed never began, and still leaves
 // a reset trace.
@@ -204,7 +214,7 @@ func (rec *Recorder[H]) Result(src int, lr LiteResult) Result {
 // error values per call.
 type errNonNeighbor struct{}
 
-func (errNonNeighbor) Error() string { return "sim: step forwarded to non-neighbor" }
+func (errNonNeighbor) Error() string { return "walk: step forwarded to non-neighbor" }
 
 // ErrNonNeighbor reports a step function forwarding to a node that is
 // not adjacent to the current one.

@@ -149,6 +149,8 @@ func (nw *Network) DoublingDimension(samples int, seed int64) float64 {
 // GenerateNetwork builds a named workload family on an explicit
 // backend — the switchboard behind routed's -graph/-backend flags.
 // Kinds: geometric, grid, grid-holes, ring, exp-path, power-law.
+// Its power-law family (as _bench's copy) is graph.PowerLaw(n, 2, 1024,
+// seed); exp.EnvOn's (routebench -graph power-law) caps weights at 8.
 func GenerateNetwork(kind string, n int, seed int64, backend Backend) (*Network, error) {
 	var (
 		g   *graph.Graph
