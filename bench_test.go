@@ -31,7 +31,7 @@ var (
 func benchEnvironment(b *testing.B) *exp.Env {
 	b.Helper()
 	benchEnvOnce.Do(func() {
-		benchEnv, benchEnvErr = exp.GeometricEnv(128, 3)
+		benchEnv, benchEnvErr = exp.NewEnv("geometric", 128, 3, "")
 	})
 	if benchEnvErr != nil {
 		b.Fatal(benchEnvErr)
@@ -91,7 +91,7 @@ func BenchmarkFig3LowerBound(b *testing.B) {
 func BenchmarkStorageScaling(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := exp.Storage(io.Discard, []int{32, 64}, 4, 1); err != nil {
+		if err := exp.Storage(io.Discard, []int{32, 64}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,16 +6,16 @@
 //
 //	graphgen -kind grid -n 64
 //	graphgen -kind geometric -n 256 -seed 7 > net.txt
+//	graphgen -kind lower-bound -n 256 -p 4 -q 2
 //
-// Kinds: grid, grid-holes, geometric, path, exp-path, exp-star, ring,
-// random-tree, power-law, fractal, lower-bound.
+// Kinds: every row of the graph-family table (internal/graph/families.go), plus
+// lower-bound, the paper's Figure 3 tree (internal/lowerbound).
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"compactrouting/internal/graph"
@@ -24,17 +24,14 @@ import (
 
 func main() {
 	var (
-		kind = flag.String("kind", "geometric", "graph family")
+		kind = flag.String("kind", "geometric", "graph family: "+graph.FamilyNames()+"|lower-bound")
 		n    = flag.Int("n", 256, "target size")
 		seed = flag.Int64("seed", 1, "random seed")
-		base = flag.Float64("base", 4, "weight base for exponential families")
-		hole = flag.Float64("holes", 0.25, "hole probability for grid-holes")
 		p    = flag.Int("p", 4, "lower-bound tree doublings")
 		q    = flag.Int("q", 2, "lower-bound tree weights per doubling")
-		maxw = flag.Float64("maxw", 1024, "max edge weight for power-law (log-uniform in [1, maxw])")
 	)
 	flag.Parse()
-	g, err := build(*kind, *n, *seed, *base, *hole, *p, *q, *maxw)
+	g, err := build(*kind, *n, *seed, *p, *q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
@@ -51,45 +48,17 @@ func main() {
 	}
 }
 
-func build(kind string, n int, seed int64, base, hole float64, p, q int, maxw float64) (*graph.Graph, error) {
-	switch kind {
-	case "grid":
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		return graph.Grid(side, side)
-	case "grid-holes":
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		g, _, err := graph.GridWithHoles(side, side, hole, seed)
-		return g, err
-	case "geometric":
-		radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n))
-		g, _, err := graph.RandomGeometric(n, radius, seed)
-		return g, err
-	case "path":
-		return graph.Path(n, 1)
-	case "exp-path":
-		return graph.ExponentialPath(n, base)
-	case "exp-star":
-		return graph.ExponentialStar(n, 3, base)
-	case "ring":
-		return graph.Ring(n)
-	case "random-tree":
-		return graph.RandomTree(n, 4, seed)
-	case "power-law":
-		return graph.PowerLaw(n, 2, maxw, seed)
-	case "fractal":
-		branch := 4
-		levels := 1
-		for pow := branch; pow < n; pow *= branch {
-			levels++
-		}
-		return graph.Fractal(levels, branch, base)
-	case "lower-bound":
+func build(kind string, n int, seed int64, p, q int) (*graph.Graph, error) {
+	if kind == "lower-bound" {
 		t, err := lowerbound.Build(lowerbound.Params{P: p, Q: q}, n)
 		if err != nil {
 			return nil, err
 		}
 		return t.G, nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
 	}
+	fam, err := graph.LookupFamily(kind)
+	if err != nil {
+		return nil, err
+	}
+	return fam.Make(n, seed)
 }

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"compactrouting"
+	"compactrouting/internal/graph"
 	"compactrouting/internal/server"
 	"compactrouting/internal/snapshot"
 )
@@ -64,7 +65,7 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		tcpAddr = flag.String("listen-tcp", "", "also serve the binary frame protocol on this TCP address (empty disables)")
 		snapP   = flag.String("snapshot", "", "table snapshot path: load it if present, else build and save it (empty disables)")
-		kind    = flag.String("graph", "geometric", "generated workload: geometric|grid|grid-holes|ring|exp-path|power-law")
+		kind    = flag.String("graph", "geometric", "generated workload graph family: "+graph.FamilyNames())
 		backend = flag.String("backend", "dense", "distance backend for preprocessing: dense (up-front APSP matrix) or lazy (on-demand truncated Dijkstra rows; no n\u00b2 memory)")
 		n       = flag.Int("n", 256, "target network size for generated graphs")
 		seed    = flag.Int64("seed", 1, "generator / naming seed")

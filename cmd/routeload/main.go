@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -48,6 +47,7 @@ import (
 	"compactrouting"
 	"compactrouting/internal/bits"
 	"compactrouting/internal/frame"
+	"compactrouting/internal/graph"
 	"compactrouting/internal/server"
 )
 
@@ -55,7 +55,7 @@ func main() {
 	var (
 		httpAddr = flag.String("http", "", "HTTP server address (empty = self-host in-process)")
 		tcpAddr  = flag.String("tcp", "", "frame-protocol server address (empty = self-host in-process)")
-		kind     = flag.String("graph", "geometric", "self-host workload: geometric|grid|ring")
+		kind     = flag.String("graph", "geometric", "self-host workload graph family: "+graph.FamilyNames())
 		n        = flag.Int("n", 256, "self-host network size")
 		seed     = flag.Int64("seed", 1, "graph / pair-generation seed")
 		eps      = flag.Float64("eps", 0.25, "self-host stretch parameter")
@@ -273,18 +273,7 @@ func run(cfg config) error {
 func buildEngine(cfg config) (*server.Engine, error) {
 	return server.New(server.Config{
 		Build: func(seed int64) (*compactrouting.Network, error) {
-			switch cfg.Graph {
-			case "geometric":
-				radius := 1.8 * math.Sqrt(math.Log(float64(cfg.N))/float64(cfg.N))
-				return compactrouting.RandomGeometricNetwork(cfg.N, radius, seed)
-			case "grid":
-				side := int(math.Ceil(math.Sqrt(float64(cfg.N))))
-				return compactrouting.GridNetwork(side, side)
-			case "ring":
-				return compactrouting.RingNetwork(cfg.N)
-			default:
-				return nil, fmt.Errorf("unknown graph kind %q", cfg.Graph)
-			}
+			return compactrouting.GenerateNetwork(cfg.Graph, cfg.N, seed, compactrouting.BackendDense)
 		},
 		Seed:         cfg.Seed,
 		Eps:          cfg.Eps,

@@ -10,8 +10,8 @@
 //
 // Rounds, delivered messages and message bits are first-class costs:
 // the engine accounts them the way internal/bits accounts table bits,
-// and cmd/distsim reports them next to the resulting table sizes
-// (construction cost vs. table quality, following Elkin–Neiman's
+// and `routebench -exp dist` reports them next to the resulting table
+// sizes (construction cost vs. table quality, following Elkin–Neiman's
 // distributed constructions of compact routing schemes).
 //
 // Every tie-break in the protocols reproduces the oracle's exactly

@@ -141,7 +141,10 @@ func apspFreeRecord(scheme, backend, name string, g *graph.Graph, eps float64, s
 // scheme, backend) cell.
 func APSPFree(opt APSPFreeOpts) ([]APSPFreeRecord, error) {
 	opt.setDefaults()
-	eps := minf(opt.Eps, 0.5)
+	eps, err := capEps("simple-labeled", opt.Eps)
+	if err != nil {
+		return nil, err
+	}
 	var records []APSPFreeRecord
 	for _, n := range opt.Sizes {
 		g, err := graph.PowerLaw(n, 2, opt.MaxW, opt.Seed)

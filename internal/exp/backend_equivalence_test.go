@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"compactrouting/internal/bits"
@@ -82,41 +81,16 @@ func schemeBytes(t *testing.T, g *graph.Graph, a metric.Distancer, seed int64, e
 	return out
 }
 
-// equivGraph mirrors internal/metric's equivGraphs families without
-// the import (metric's version is test-internal).
+// equivGraph builds the named row of the graph-family table.
 func equivGraph(t *testing.T, fam string, n int, seed int64) *graph.Graph {
 	t.Helper()
-	switch fam {
-	case "grid-holes":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g, _, err := graph.GridWithHoles(side, side, 0.25, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "geometric":
-		radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n))
-		g, _, err := graph.RandomGeometric(n, radius, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "power-law":
-		g, err := graph.PowerLaw(n, 2, 8, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "random-tree":
-		g, err := graph.RandomTree(n, 4, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+	f, err := graph.LookupFamily(fam)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("unknown family %q", fam)
-	return nil
+	g, err := f.Make(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

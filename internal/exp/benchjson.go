@@ -19,7 +19,7 @@ type BenchRecord struct {
 	Graph         string  `json:"graph"`
 	N             int     `json:"n"`
 	M             int     `json:"m"`
-	Eps           float64 `json:"eps"`
+	Eps           float64 `json:"eps"` // the ε the scheme was built at
 	Pairs         int     `json:"pairs"`
 	StretchMean   float64 `json:"stretch_mean"`
 	StretchP50    float64 `json:"stretch_p50"`
@@ -204,7 +204,7 @@ func Bench(e *Env, opt BenchOpts) ([]BenchRecord, error) {
 			Graph:         e.Name,
 			N:             e.G.N(),
 			M:             e.G.M(),
-			Eps:           opt.Eps,
+			Eps:           entries[i].Eps(opt.Eps),
 			Pairs:         len(pairs),
 			StretchMean:   st.Mean,
 			StretchP50:    st.P50,

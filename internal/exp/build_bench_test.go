@@ -17,7 +17,7 @@ import (
 
 func benchEnv(b *testing.B, n int) *Env {
 	b.Helper()
-	env, err := GeometricEnv(n, 7)
+	env, err := NewEnv("geometric", n, 7, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func BenchmarkBuildScaleFreeLabeled(b *testing.B) {
 func BenchmarkBuildNameInd(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := build[*nameind.Simple](env, "name-independent", 0.25, 7); err != nil {
+			if _, _, err := build[*nameind.Simple](env, "name-independent", 0.25, 7); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func BenchmarkBuildNameInd(b *testing.B) {
 func BenchmarkBuildScaleFreeNameInd(b *testing.B) {
 	benchSizes(b, func(b *testing.B, env *Env) {
 		for i := 0; i < b.N; i++ {
-			if _, err := build[*nameind.ScaleFree](env, "scale-free-name-independent", 0.25, 7); err != nil {
+			if _, _, err := build[*nameind.ScaleFree](env, "scale-free-name-independent", 0.25, 7); err != nil {
 				b.Fatal(err)
 			}
 		}

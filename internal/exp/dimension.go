@@ -16,7 +16,10 @@ import (
 // tunable alpha (branching 2, 4, 8 at scale 2) table sizes must grow
 // with alpha while stretch stays put. Sizes are matched (~256 nodes).
 func Dimension(w io.Writer, eps float64, pairCount int, seed int64) error {
-	eps = minf(eps, 0.25)
+	eps, err := capEps("scale-free-labeled", eps)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "Doubling-dimension sweep (fractal networks, eps=%v)\n", eps)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "branch\tn\talpha (greedy est.)\tlabeled SF max bits\tnameind SF max bits\tlabeled max stretch\tnameind max stretch")
@@ -35,7 +38,7 @@ func Dimension(w io.Writer, eps float64, pairCount int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		ni, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
+		ni, _, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 		if err != nil {
 			return err
 		}

@@ -9,20 +9,10 @@ import (
 
 	"compactrouting/internal/dist"
 	"compactrouting/internal/faultsim"
-	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/treeroute"
 )
-
-// RandomTreeEnv returns a random weighted tree (weights in (0, 4]).
-func RandomTreeEnv(n int, seed int64) (*Env, error) {
-	g, err := graph.RandomTree(n, 4, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("random-tree n=%d", n), G: g, A: metric.NewAPSP(g)}, nil
-}
 
 // DistOpts parameterizes the distributed-construction experiment (E14).
 type DistOpts struct {
@@ -103,6 +93,28 @@ func DistConstruct(e *Env, opt DistOpts) ([]DistRecord, error) {
 		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// DistSweep runs DistConstruct on the kind row of the graph-family
+// table at each size — nil sizes select 64, 256 and 1024 — with every
+// env built on the dense backend from opt.Seed.
+func DistSweep(kind string, sizes []int, opt DistOpts) ([]DistRecord, error) {
+	if len(sizes) == 0 {
+		sizes = []int{64, 256, 1024}
+	}
+	var records []DistRecord
+	for _, n := range sizes {
+		env, err := NewEnv(kind, n, opt.Seed, "")
+		if err != nil {
+			return nil, err
+		}
+		recs, err := DistConstruct(env, opt)
+		if err != nil {
+			return nil, err
+		}
+		records = append(records, recs...)
+	}
+	return records, nil
 }
 
 // distTreeRecord builds the shortest-path-tree substrate in-network and

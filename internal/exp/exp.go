@@ -33,40 +33,17 @@ type Env struct {
 	A    metric.Distancer
 }
 
-// EnvOn builds a named workload family on an explicit distance backend
-// — the switchboard behind cmd/routebench's -backend flag and the
-// APSP-free experiment family. Kinds: geometric, grid-holes, exp-path,
-// unit-path, power-law. Its power-law family is graph.PowerLaw(n, 2, 8,
-// seed); compactrouting.GenerateNetwork (routed) and _bench use 1024.
-func EnvOn(kind string, n int, seed int64, backend string) (*Env, error) {
-	var (
-		g   *graph.Graph
-		err error
-	)
-	name := ""
-	switch kind {
-	case "geometric":
-		radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n))
-		g, _, err = graph.RandomGeometric(n, radius, seed)
-		if g != nil {
-			name = fmt.Sprintf("geometric n=%d", g.N())
-		}
-	case "grid-holes":
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		g, _, err = graph.GridWithHoles(side, side, 0.25, seed)
-		name = fmt.Sprintf("grid-holes %dx%d", side, side)
-	case "exp-path":
-		g, err = graph.ExponentialPath(n, 4)
-		name = fmt.Sprintf("exp-path n=%d base=4", n)
-	case "unit-path":
-		g, err = graph.Path(n, 1)
-		name = fmt.Sprintf("unit-path n=%d", n)
-	case "power-law":
-		g, err = graph.PowerLaw(n, 2, 8, seed)
-		name = fmt.Sprintf("power-law n=%d", n)
-	default:
-		return nil, fmt.Errorf("exp: unknown graph kind %q", kind)
+// NewEnv builds the named row of the graph-family table targeting n
+// nodes and compiles its metric on a distance backend. backend ""
+// selects the dense backend and names the env by the family's label
+// alone; a named backend ("dense", "lazy", as routebench's -backend
+// passes) is appended to the label in parentheses.
+func NewEnv(kind string, n int, seed int64, backend string) (*Env, error) {
+	fam, err := graph.LookupFamily(kind)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
+	g, err := fam.Make(n, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -74,62 +51,11 @@ func EnvOn(kind string, n int, seed int64, backend string) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)
 	}
-	return &Env{Name: name + " (" + orName(backend) + ")", G: g, A: a}, nil
-}
-
-// orName normalizes the backend display name.
-func orName(backend string) string {
-	if backend == "" {
-		return "dense"
+	name := fam.Label(n, g)
+	if backend != "" {
+		name += " (" + backend + ")"
 	}
-	return backend
-}
-
-// GridHolesEnv returns a side x side grid with 25% holes.
-func GridHolesEnv(side int, seed int64) (*Env, error) {
-	g, _, err := graph.GridWithHoles(side, side, 0.25, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("grid-holes %dx%d", side, side), G: g, A: metric.NewAPSP(g)}, nil
-}
-
-// GeometricEnv returns a random geometric graph targeting roughly n
-// nodes.
-func GeometricEnv(n int, seed int64) (*Env, error) {
-	radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n)) // above the connectivity threshold
-	g, _, err := graph.RandomGeometric(n, radius, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("geometric n=%d", g.N()), G: g, A: metric.NewAPSP(g)}, nil
-}
-
-// ExpStarEnv returns an exponential-diameter star of k arms.
-func ExpStarEnv(n, k int, base float64) (*Env, error) {
-	g, err := graph.ExponentialStar(n, k, base)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("exp-star n=%d", n), G: g, A: metric.NewAPSP(g)}, nil
-}
-
-// ExpPathEnv returns an exponential-diameter path.
-func ExpPathEnv(n int, base float64) (*Env, error) {
-	g, err := graph.ExponentialPath(n, base)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("exp-path n=%d base=%v", n, base), G: g, A: metric.NewAPSP(g)}, nil
-}
-
-// UnitPathEnv returns a unit-weight path.
-func UnitPathEnv(n int) (*Env, error) {
-	g, err := graph.Path(n, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("unit-path n=%d", n), G: g, A: metric.NewAPSP(g)}, nil
+	return &Env{Name: name, G: g, A: a}, nil
 }
 
 // Pairs samples routed pairs for the env.
@@ -147,18 +73,31 @@ func newTab(w io.Writer) *tabwriter.Writer {
 
 // build compiles the registered scheme name on env through its
 // registry entry — ε clamped to the entry's cap, original names drawn
-// from seed — and returns the concrete scheme, which must be an S.
-func build[S any](e *Env, name string, eps float64, seed int64) (S, error) {
+// from seed — and returns the concrete scheme, which must be an S,
+// with the ε it was built at.
+func build[S any](e *Env, name string, eps float64, seed int64) (S, float64, error) {
 	var s S
 	entry, err := schemes.Lookup(name)
 	if err != nil {
-		return s, err
+		return s, 0, err
 	}
+	eps = entry.Eps(eps)
 	inst, err := entry.Build(e.G, e.A, eps, seed)
 	if err != nil {
-		return s, err
+		return s, 0, err
 	}
-	return inst.Impl.(S), nil
+	return inst.Impl.(S), eps, nil
+}
+
+// capEps is eps clamped to the registry cap of scheme name — the ε
+// build compiles it at — for experiments that call the scheme's
+// constructor directly.
+func capEps(name string, eps float64) (float64, error) {
+	entry, err := schemes.Lookup(name)
+	if err != nil {
+		return 0, err
+	}
+	return entry.Eps(eps), nil
 }
 
 // logn returns ceil(log2 n) as a float for bound columns.

@@ -3,11 +3,13 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"compactrouting/internal/faultsim"
 )
 
 func smallGeo(t *testing.T) *Env {
 	t.Helper()
-	e, err := GeometricEnv(90, 3)
+	e, err := NewEnv("geometric", 90, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +52,64 @@ func TestFig1Runs(t *testing.T) {
 	}
 }
 
+// TestExperimentsReportBuiltEps runs the experiments at an ε above the
+// registry caps: each must report the ε its schemes were built at (the
+// bench and chaos records per scheme), and Fig1's Eqn (4) bound must
+// hold at that ε.
+func TestExperimentsReportBuiltEps(t *testing.T) {
+	e := smallGeo(t)
+	cases := []struct {
+		name string
+		run  func(*strings.Builder) error
+		want []string
+	}{
+		{"fig1", func(sb *strings.Builder) error { return Fig1(sb, e, 0.5, 150, 1) },
+			[]string{"eps=0.3333333333333333,", "Eqn (4) violations: 0"}},
+		{"fig2", func(sb *strings.Builder) error { return Fig2(sb, e, 0.5, 150, 1) },
+			[]string{"eps=0.25,"}},
+		{"table1", func(sb *strings.Builder) error { return Table1(sb, e, 0.5, 100, 1) },
+			[]string{"Thm 1.4 (simple) [eps=0.3333333333333333]", "Thm 1.1 (scale-free) [eps=0.25]"}},
+		{"table2", func(sb *strings.Builder) error { return Table2(sb, e, 0.4, 100, 1) },
+			[]string{"simple labeled (logD family)  ", "Thm 1.2 (scale-free) [eps=0.25]"}},
+	}
+	caps := map[string]float64{"simple-labeled": 0.5, "scale-free-labeled": 0.25,
+		"name-independent": 1.0 / 3, "scale-free-name-independent": 0.25, "full-table": 0.6, "single-tree": 0.6}
+	recs, err := Bench(e, BenchOpts{Eps: 0.6, Pairs: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Eps != caps[r.Scheme] {
+			t.Errorf("bench record %s: eps %v, want %v", r.Scheme, r.Eps, caps[r.Scheme])
+		}
+	}
+	chaos, err := ChaosSweep(e, ChaosConfig{LossRates: []float64{0}, FailFracs: []float64{0}, Rel: faultsim.DefaultReliability, HopLatency: 1}, 0.6, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range chaos {
+		if r.Eps != caps[r.Scheme] {
+			t.Errorf("chaos record %s: eps %v, want %v", r.Scheme, r.Eps, caps[r.Scheme])
+		}
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		if err := c.run(&sb); err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, sb.String())
+		}
+		for _, want := range c.want {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("%s: output missing %q:\n%s", c.name, want, sb.String())
+			}
+		}
+		// The figures build one scheme: their header names its ε. The
+		// tables print the request and mark each clamped row instead.
+		if strings.HasPrefix(c.name, "fig") && strings.Contains(sb.String(), "eps=0.5,") {
+			t.Errorf("%s: header prints the requested eps 0.5:\n%s", c.name, sb.String())
+		}
+	}
+}
+
 func TestFig2Runs(t *testing.T) {
 	var sb strings.Builder
 	if err := Fig2(&sb, smallGeo(t), 0.25, 150, 1); err != nil {
@@ -64,7 +124,7 @@ func TestFig2PhaseBOnExponentialPath(t *testing.T) {
 	// Phase B of Algorithm 5 only fires on metrics with empty annuli
 	// (levels missing from R(u)); the exponential path is the canonical
 	// case. Every handed-off route must satisfy the Claim 4.6 window.
-	e, err := ExpPathEnv(64, 4)
+	e, err := NewEnv("exp-path", 64, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +165,7 @@ func TestFig3Runs(t *testing.T) {
 
 func TestStorageRuns(t *testing.T) {
 	var sb strings.Builder
-	if err := Storage(&sb, []int{32, 64}, 4, 1); err != nil {
+	if err := Storage(&sb, []int{32, 64}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Storage scaling") {

@@ -14,9 +14,10 @@ import (
 // final labeled leg, against the level's ball radius 2^j/eps. It also
 // checks Lemma 3.4's per-route inequality: total cost <=
 // 2^{j+2}(1/eps+1) + d(u,v), inflated by the underlying scheme's
-// (1+O(eps)) routing factor (Eqn 4).
+// (1+O(eps)) routing factor (Eqn 4). eps is clamped to the scheme's
+// registry cap; the header and the bound use the ε it was built at.
 func Fig1(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
-	s, err := build[*nameind.Simple](e, "name-independent", minf(eps, 0.25), seed)
+	s, eps, err := build[*nameind.Simple](e, "name-independent", eps, seed)
 	if err != nil {
 		return err
 	}
@@ -31,7 +32,7 @@ func Fig1(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 	}
 	byLevel := map[int]*agg{}
 	eqn4Violations := 0
-	underB := 1 + 4*minf(eps, 0.25)/(1-minf(eps, 0.25))
+	underB := 1 + 4*eps/(1-eps)
 	for _, p := range pairs {
 		ex, err := s.Explain(p[0], s.NameOf(p[1]))
 		if err != nil {

@@ -12,9 +12,10 @@ import (
 // each packing level j, the average cost of each leg (phase A walk,
 // descent to the Voronoi center, Search Tree II round trip, final tree
 // route), and how often the Claim 4.6 window
-// r_{u_t}(j)/(3 eps) < d(u_t, v) < r_{u_t}(j+1)/5 held.
+// r_{u_t}(j)/(3 eps) < d(u_t, v) < r_{u_t}(j+1)/5 held. The header
+// prints the ε the scheme was built at (eps clamped to its cap).
 func Fig2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
-	s, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
+	s, eps, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
 	if err != nil {
 		return err
 	}

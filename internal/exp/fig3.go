@@ -72,7 +72,7 @@ func Fig3(w io.Writer, pairCount int, seed int64) error {
 	// (4) Upper bound meets lower bound: Theorem 1.4 on the tree.
 	env := &Env{Name: "lower-bound tree", G: tree.G, A: a}
 	eps := 0.25
-	s, err := build[*nameind.Simple](env, "name-independent", eps, seed)
+	s, _, err := build[*nameind.Simple](env, "name-independent", eps, seed)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 func TestGoldenBitAccounting(t *testing.T) {
 	var got bytes.Buffer
 	for _, n := range []int{64, 256} {
-		e, err := GeometricEnv(n, 7)
+		e, err := NewEnv("geometric", n, 7, "")
 		if err != nil {
 			t.Fatal(err)
 		}

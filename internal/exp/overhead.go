@@ -16,12 +16,15 @@ import (
 // name), bucketed by distance. Labeled routing pays (1+eps); name
 // independence pays the doubling search, up to the optimal factor 9.
 func Overhead(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
-	eps = minf(eps, 0.25)
+	eps, err := capEps("scale-free-labeled", eps)
+	if err != nil {
+		return err
+	}
 	lab, err := labeled.NewScaleFree(e.G, e.A, eps)
 	if err != nil {
 		return err
 	}
-	ni, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
+	ni, _, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", eps, seed)
 	if err != nil {
 		return err
 	}

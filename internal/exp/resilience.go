@@ -12,7 +12,7 @@ import (
 	"compactrouting/internal/schemes"
 )
 
-// ChaosConfig parameterizes the resilience sweep (cmd/chaossim).
+// ChaosConfig parameterizes the resilience sweep (routebench -exp chaos).
 type ChaosConfig struct {
 	// LossRates are the per-hop packet-loss probabilities swept.
 	LossRates []float64
@@ -45,7 +45,7 @@ type ChaosRecord struct {
 	Graph              string  `json:"graph"`
 	N                  int     `json:"n"`
 	M                  int     `json:"m"`
-	Eps                float64 `json:"eps"`
+	Eps                float64 `json:"eps"` // the ε the scheme was built at
 	Seed               int64   `json:"seed"`
 	Pairs              int     `json:"pairs"`
 	Loss               float64 `json:"loss"`
@@ -178,7 +178,7 @@ func ChaosSweep(e *Env, cfg ChaosConfig, eps float64, pairCount int, seed int64)
 			Graph:            e.Name,
 			N:                e.G.N(),
 			M:                e.G.M(),
-			Eps:              eps,
+			Eps:              sc.Entry.Eps(eps),
 			Seed:             seed,
 			Pairs:            len(pairs),
 			Loss:             loss,

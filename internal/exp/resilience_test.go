@@ -23,7 +23,7 @@ func smallChaosConfig() ChaosConfig {
 // the single-shot rate (guaranteed structurally: attempt 0 shares its
 // fault draws with the unretried run).
 func TestChaosSweepInvariants(t *testing.T) {
-	e, err := GeometricEnv(48, 5)
+	e, err := NewEnv("geometric", 48, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestChaosSweepInvariants(t *testing.T) {
 // TestChaosJSONDeterministic is the make-check property at unit scope:
 // two sweeps from the same seed serialize byte-identically.
 func TestChaosJSONDeterministic(t *testing.T) {
-	e, err := GeometricEnv(40, 9)
+	e, err := NewEnv("geometric", 40, 9, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestChaosJSONDeterministic(t *testing.T) {
 }
 
 func TestResilienceTableRuns(t *testing.T) {
-	e, err := GeometricEnv(40, 7)
+	e, err := NewEnv("geometric", 40, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}

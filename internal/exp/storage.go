@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"compactrouting/internal/core"
+	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
@@ -18,19 +19,19 @@ import (
 // the two schemes are comparable; on the exponential path the simple
 // schemes blow up with log(Delta) while the scale-free schemes stay
 // put — the separation that makes Theorems 1.1/1.2 "scale-free".
-func Storage(w io.Writer, sizes []int, base float64, seed int64) error {
+func Storage(w io.Writer, sizes []int, seed int64) error {
 	if len(sizes) == 0 {
 		sizes = []int{32, 64, 128}
 	}
-	fmt.Fprintf(w, "Storage scaling (E6) — max table bits/node, unit path vs exponential path (weight base %v)\n", base)
+	fmt.Fprintf(w, "Storage scaling (E6) — max table bits/node, unit path vs exponential path (weight base %d)\n", graph.ExpBase)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "n\tlog2(Delta) unit\tlog2(Delta) exp\tlabeled simple unit\tlabeled simple exp\tlabeled scale-free unit\tlabeled scale-free exp\tnameind simple unit\tnameind simple exp\tnameind scale-free unit\tnameind scale-free exp")
 	for _, n := range sizes {
-		unit, err := UnitPathEnv(n)
+		unit, err := NewEnv("unit-path", n, seed, "")
 		if err != nil {
 			return err
 		}
-		expo, err := ExpPathEnv(n, base)
+		expo, err := NewEnv("exp-path", n, seed, "")
 		if err != nil {
 			return err
 		}
@@ -53,14 +54,14 @@ func Storage(w io.Writer, sizes []int, base float64, seed int64) error {
 			row = append(row, float64(core.Tables(s.TableBits, n).MaxBits))
 		}
 		for _, e := range []*Env{unit, expo} {
-			s, err := build[*nameind.Simple](e, "name-independent", 0.25, seed)
+			s, _, err := build[*nameind.Simple](e, "name-independent", 0.25, seed)
 			if err != nil {
 				return err
 			}
 			row = append(row, float64(core.Tables(s.TableBits, n).MaxBits))
 		}
 		for _, e := range []*Env{unit, expo} {
-			s, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", 0.25, seed)
+			s, _, err := build[*nameind.ScaleFree](e, "scale-free-name-independent", 0.25, seed)
 			if err != nil {
 				return err
 			}
@@ -82,7 +83,7 @@ func Storage(w io.Writer, sizes []int, base float64, seed int64) error {
 	tw = newTab(w)
 	fmt.Fprintln(tw, "n\tmax bits\tlog^3 n\tbits / log^3 n")
 	for _, n := range sizes {
-		e, err := GeometricEnv(n, seed)
+		e, err := NewEnv("geometric", n, seed, "")
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,8 @@ import (
 // routing schemes — with measured values. Rows: the simple labeled
 // scheme (standing for the log(Delta)-table family of Talwar, Chan et
 // al., Slivkins, and AGGM's first variant), Theorem 1.2 (scale-free),
-// and the two baselines bracketing the trade-off.
+// and the two baselines bracketing the trade-off. As in Table1, a row
+// built at a capped ε names it.
 func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 	pairs := e.Pairs(pairCount, seed)
 	labelBits := int(logn(e.G.N()))
@@ -30,7 +31,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 	}
 	var rows []row
 
-	simple, err := build[*labeled.Simple](e, "simple-labeled", eps, seed)
+	simple, simpleEps, err := build[*labeled.Simple](e, "simple-labeled", eps, seed)
 	if err != nil {
 		return err
 	}
@@ -39,7 +40,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 		return err
 	}
 	rows = append(rows, row{
-		name:       "simple labeled (logD family)",
+		name:       "simple labeled (logD family)" + builtAt(simpleEps, eps),
 		paperTable: "(1/eps)^O(a) logD logn",
 		paperHdr:   "O(log n)",
 		paperLbl:   "ceil(log n)",
@@ -48,7 +49,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 		tb:         core.Tables(simple.TableBits, e.G.N()),
 	})
 
-	free, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
+	free, freeEps, err := build[*labeled.ScaleFree](e, "scale-free-labeled", eps, seed)
 	if err != nil {
 		return err
 	}
@@ -57,7 +58,7 @@ func Table2(w io.Writer, e *Env, eps float64, pairCount int, seed int64) error {
 		return err
 	}
 	rows = append(rows, row{
-		name:       "Thm 1.2 (scale-free)",
+		name:       "Thm 1.2 (scale-free)" + builtAt(freeEps, eps),
 		paperTable: "(1/eps)^O(a) log^3 n",
 		paperHdr:   "O(log^2n/loglogn)",
 		paperLbl:   "ceil(log n)",

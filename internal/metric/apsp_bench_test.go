@@ -23,16 +23,11 @@ func benchOracle(tb testing.TB, n int) *APSP {
 // or the Internet-like power-law graph of the lazy workload.
 func benchGraph(tb testing.TB, family string, n int) *graph.Graph {
 	tb.Helper()
-	var g *graph.Graph
-	var err error
-	switch family {
-	case "geometric":
-		g, _, err = graph.RandomGeometric(n, 1.8*math.Sqrt(math.Log(float64(n))/float64(n)), 1)
-	case "power-law":
-		g, err = graph.PowerLaw(n, 2, 1024, 1)
-	default:
-		tb.Fatalf("unknown family %q", family)
+	fam, err := graph.LookupFamily(family)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	g, err := fam.Make(n, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -150,6 +150,9 @@ type Entry interface {
 	// analysed for (its cap). namingSeed draws the name-independent schemes' original
 	// names (nameind.RandomNaming); the other schemes ignore it.
 	Build(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (*Instance, error)
+	// Eps is the ε Build compiles at when asked for eps: eps clamped to
+	// the entry's cap. Entries that take no ε return eps unchanged.
+	Eps(eps float64) float64
 	// Restore decodes a blob written by EncodeSnapshot against an
 	// already-rebuilt graph and oracle and binds its walker. No counted
 	// scheme constructor runs: every path goes through the Restore*
@@ -235,11 +238,15 @@ type spec[S impl[H], H walk.Header] struct {
 func (sp *spec[S, H]) Name() string { return sp.name }
 func (sp *spec[S, H]) Kind() string { return sp.kind }
 
-func (sp *spec[S, H]) Build(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (*Instance, error) {
+func (sp *spec[S, H]) Eps(eps float64) float64 {
 	if sp.epsCap > 0 && eps > sp.epsCap {
-		eps = sp.epsCap
+		return sp.epsCap
 	}
-	s, err := sp.build(g, a, eps, namingSeed)
+	return eps
+}
+
+func (sp *spec[S, H]) Build(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (*Instance, error) {
+	s, err := sp.build(g, a, sp.Eps(eps), namingSeed)
 	if err != nil {
 		return nil, err
 	}

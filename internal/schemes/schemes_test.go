@@ -189,9 +189,9 @@ func TestEncodeSnapshotRejectsMismatchedImpl(t *testing.T) {
 	}
 }
 
-// TestEpsCaps pins each entry's ε cap: at ε=0.6 every capped entry
-// builds (its constructor alone would reject 0.6) with the stretch
-// bound it has at ε = cap.
+// TestEpsCaps pins each entry's ε cap: Eps reports it, and at ε=0.6
+// every capped entry builds (its constructor alone would reject 0.6)
+// with the stretch bound it has at ε = cap.
 func TestEpsCaps(t *testing.T) {
 	caps := map[string]float64{
 		"simple-labeled":              0.5,
@@ -207,6 +207,12 @@ func TestEpsCaps(t *testing.T) {
 	}
 	a := metric.NewAPSP(g)
 	for _, e := range All() {
+		if got := e.Eps(0.6); got != caps[e.Name()] {
+			t.Errorf("%s: Eps(0.6) = %v, want %v", e.Name(), got, caps[e.Name()])
+		}
+		if got := e.Eps(0.1); got != 0.1 {
+			t.Errorf("%s: Eps(0.1) = %v, want 0.1 (below every cap)", e.Name(), got)
+		}
 		over, err := e.Build(g, a, 0.6, 1)
 		if err != nil {
 			t.Fatalf("%s at eps 0.6: %v", e.Name(), err)

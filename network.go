@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"compactrouting/internal/graph"
@@ -146,35 +145,16 @@ func (nw *Network) DoublingDimension(samples int, seed int64) float64 {
 	return metric.EstimateDoublingDimension(nw.dist, samples, seed)
 }
 
-// GenerateNetwork builds a named workload family on an explicit
-// backend — the switchboard behind routed's -graph/-backend flags.
-// Kinds: geometric, grid, grid-holes, ring, exp-path, power-law.
-// Its power-law family (as _bench's copy) is graph.PowerLaw(n, 2, 1024,
-// seed); exp.EnvOn's (routebench -graph power-law) caps weights at 8.
+// GenerateNetwork builds a named row of the graph-family table
+// (internal/graph/families.go: geometric, grid, grid-holes, ...) on an
+// explicit backend — the switchboard behind routed's and routeload's
+// -graph flags.
 func GenerateNetwork(kind string, n int, seed int64, backend Backend) (*Network, error) {
-	var (
-		g   *graph.Graph
-		err error
-	)
-	switch kind {
-	case "geometric":
-		radius := 1.8 * math.Sqrt(math.Log(float64(n))/float64(n))
-		g, _, err = graph.RandomGeometric(n, radius, seed)
-	case "grid":
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		g, err = graph.Grid(side, side)
-	case "grid-holes":
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		g, _, err = graph.GridWithHoles(side, side, 0.25, seed)
-	case "ring":
-		g, err = graph.Ring(n)
-	case "exp-path":
-		g, err = graph.ExponentialPath(n, 4)
-	case "power-law":
-		g, err = graph.PowerLaw(n, 2, 1024, seed)
-	default:
-		return nil, fmt.Errorf("compactrouting: unknown graph kind %q", kind)
+	fam, err := graph.LookupFamily(kind)
+	if err != nil {
+		return nil, fmt.Errorf("compactrouting: %w", err)
 	}
+	g, err := fam.Make(n, seed)
 	if err != nil {
 		return nil, err
 	}
