@@ -165,6 +165,7 @@ fuzz-smoke:
 		"./internal/dist FuzzDecodeMsg" \
 		"./internal/frame FuzzDecodeFrame" \
 		"./internal/snapshot FuzzDecodeSnapshot" \
+		"./internal/searchtree FuzzDecodeTree" \
 		"./internal/metric FuzzLazyBall" \
 		"./internal/metric FuzzKernelQueue"; do \
 		set -- $$spec; \

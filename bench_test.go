@@ -268,15 +268,16 @@ func BenchmarkSearchTreeBuildAndQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pairs := make([]searchtreepkg.Pair[int], len(tr.Members))
-	for i, v := range tr.Members {
-		pairs[i] = searchtreepkg.Pair[int]{Key: v, Data: v}
+	pairs := make([]searchtreepkg.Pair[int], tr.Len())
+	for p := range pairs {
+		v := tr.Member(p)
+		pairs[p] = searchtreepkg.Pair[int]{Key: v, Data: v}
 	}
 	tr.Store(pairs)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, found, _ := tr.Search(tr.Members[i%len(tr.Members)]); !found {
+		if _, found, _ := tr.Search(tr.Member(i % tr.Len())); !found {
 			b.Fatal("missing key")
 		}
 	}

@@ -41,8 +41,8 @@
 // value is recorded, so the same flags write a byte-identical file
 // (asserted by `make check`).
 //
-// With -json and any other -exp, the text experiments are skipped;
-// instead every scheme is benchmarked on the -graph workload and one
+// With -json and -exp all (the default), the text experiments are
+// skipped; instead every scheme is benchmarked on the -graph workload and one
 // JSON record per scheme (stretch percentiles and histogram, table
 // bits, per-phase build wall times, ns/query) is written to the given
 // path, so benchmark trajectories can be compared across commits.
@@ -51,6 +51,11 @@
 // the wall-clock fields, making the file a pure function of the flags
 // (`make check` double-runs it, traced, and diffs). -cpuprofile
 // captures a CPU profile of the whole build+sweep (`make profile`).
+//
+// A flag set on the command line that the chosen run does not read
+// (say -backend with -exp chaos, which builds on the dense backend, or
+// -n with -exp storage, whose sizes are fixed) is an error naming the
+// flag, not a silently dropped setting.
 package main
 
 import (
@@ -97,6 +102,9 @@ func main() {
 		buildLoss  = flag.Float64("buildloss", 0, "with -exp dist: per-transmission drop probability during construction")
 	)
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine, *which, *jsonP != ""); err != nil {
+		fatal(err)
+	}
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {
@@ -155,6 +163,56 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// readFlags returns the flags the run chosen by -exp (and -json) reads;
+// -cpuprofile works with every run.
+func readFlags(which string, json bool) (run string, flags []string) {
+	env := []string{"exp", "graph", "n", "eps", "pairs", "seed", "backend"}
+	switch {
+	case which == "apspfree":
+		return "-exp apspfree", []string{"exp", "json", "sizes", "eps", "pairs", "seed", "timing"}
+	case which == "chaos":
+		return "-exp chaos", []string{"exp", "json", "graph", "n", "eps", "pairs", "seed",
+			"loss", "fail", "retries", "backoff", "maxbackoff", "jitter", "deadline", "latency"}
+	case which == "dist":
+		return "-exp dist", []string{"exp", "json", "graph", "sizes", "eps", "pairs", "seed", "scheme", "maxmsgbits", "buildloss"}
+	case json:
+		flags := append(env, "json", "trace", "timing")
+		if which != "all" {
+			flags = flags[1:] // the sweep runs no text experiment
+		}
+		return "the -json bench sweep", flags
+	case which == "fig3":
+		return "-exp fig3", []string{"exp", "pairs", "seed"}
+	case which == "storage":
+		return "-exp storage", []string{"exp", "seed"}
+	case which == "dimension":
+		return "-exp dimension", []string{"exp", "eps", "pairs", "seed"}
+	case which == "epsilon" || which == "ablation" || which == "oracle":
+		return "-exp " + which, []string{"exp", "graph", "n", "pairs", "seed", "backend"}
+	}
+	return "-exp " + which, env
+}
+
+// checkFlags fails, naming the flags, when fs holds an explicitly set
+// flag that the chosen run does not read.
+func checkFlags(fs *flag.FlagSet, which string, json bool) error {
+	run, flags := readFlags(which, json)
+	reads := map[string]bool{"cpuprofile": true}
+	for _, f := range flags {
+		reads[f] = true
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("%s does not read %s", run, strings.Join(ignored, ", "))
+	}
+	return nil
 }
 
 func fatal(err error) {

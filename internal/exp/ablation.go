@@ -111,7 +111,7 @@ func Ablation(w io.Writer, e *Env, pairCount int, seed int64) error {
 			return err
 		}
 		fmt.Fprintf(tw, "%.2f\t%.3f\t%d\t%d\n",
-			eps, t.Height()/radius, t.MaxDegree(), len(t.Levels))
+			eps, t.Height()/radius, t.MaxDegree(), t.NumLevels())
 	}
 	return tw.Flush()
 }

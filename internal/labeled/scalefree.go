@@ -280,12 +280,12 @@ func (s *ScaleFree) accountStorage() {
 	// Search-tree residency: structure bits live at the hosting nodes.
 	for j := range s.cells {
 		for _, cl := range s.cells[j] {
-			for _, v := range cl.st.Members {
-				nd := cl.st.Nodes[v]
+			for p := 0; p < cl.st.Len(); p++ {
+				v := cl.st.Member(p)
 				b := 3 * s.idBits // parent id + own subtree range
-				b += len(nd.Children) * 3 * s.idBits
-				for _, p := range nd.Pairs {
-					b += s.idBits + p.Data.Bits()
+				b += cl.st.Degree(p) * 3 * s.idBits
+				for _, pr := range cl.st.Pairs(p) {
+					b += s.idBits + pr.Data.Bits()
 				}
 				b += cl.rz.StorageBits(v)
 				s.tblBits[v] += b

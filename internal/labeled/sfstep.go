@@ -120,34 +120,28 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				return s.walkToward(w, h)
 			}
 			cl := s.cells[h.J][s.ownerBall[h.J][w]]
-			nd := cl.st.Nodes[w]
-			descended := false
-			for _, c := range nd.Children {
-				if !c.Empty && c.Lo <= label && label <= c.Hi {
-					h.VTarget = int32(c.ID)
-					descended = true
-					break
-				}
+			p := cl.st.Pos(w)
+			if p < 0 {
+				return 0, h, false, fmt.Errorf("labeled: node %d outside its cell's search tree", w)
 			}
-			if descended {
+			child, data, found := cl.st.Step(p, label)
+			if child >= 0 {
+				h.VTarget = int32(cl.st.Member(child))
 				if w == int(h.VTarget) {
 					return 0, h, false, fmt.Errorf("labeled: search self-loop at %d", w)
 				}
 				return s.walkToward(w, h)
 			}
-			for _, p := range nd.Pairs {
-				if p.Key == label {
-					h.Found = true
-					h.Data = p.Data
-					break
-				}
+			if found {
+				h.Found = true
+				h.Data = data
 			}
 			h.Phase = SFPhaseSearchUp
 			if w == cl.center {
 				h = s.leaveSearch(w, h)
 				continue
 			}
-			h.VTarget = int32(nd.Parent)
+			h.VTarget = int32(cl.st.Member(cl.st.Parent(p)))
 			return s.walkToward(w, h)
 		case SFPhaseSearchUp:
 			if w != int(h.VTarget) {
@@ -158,7 +152,11 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				h = s.leaveSearch(w, h)
 				continue
 			}
-			h.VTarget = int32(cl.st.Nodes[w].Parent)
+			p := cl.st.Pos(w)
+			if p < 0 {
+				return 0, h, false, fmt.Errorf("labeled: node %d outside its cell's search tree", w)
+			}
+			h.VTarget = int32(cl.st.Member(cl.st.Parent(p)))
 			return s.walkToward(w, h)
 		case SFPhaseFinal:
 			cl := s.cells[h.J][s.ownerBall[h.J][w]]

@@ -176,7 +176,7 @@ func (s *ScaleFree) EncodeSnapshot(w *bits.Writer) {
 			w.WriteUvarint(uint64(cl.center))
 			treeroute.EncodePortScheme(w, cl.tree, n)
 			searchtree.EncodeTree(w, cl.st, func(w *bits.Writer, l treeroute.PortLabel) { l.Encode(w) })
-			searchtree.EncodeRealizer(w, cl.rz, cl.st, n)
+			searchtree.EncodeRealizer(w, cl.rz, n)
 		}
 	}
 	for v := 0; v < n; v++ {

@@ -117,12 +117,11 @@ func (b *base) routeToLabel(tr *core.Trace, label int) error {
 // references (id + range + label), its subtree range, and its stored
 // pairs (name + label).
 func (b *base) treeStorageBits(t *searchtree.Tree[int]) {
-	for _, v := range t.Members {
-		nd := t.Nodes[v]
+	for p := 0; p < t.Len(); p++ {
 		cost := 2*b.idBits + 2*b.nameBits // parent id+label, own key range
-		cost += len(nd.Children) * (2*b.idBits + 2*b.nameBits)
-		cost += len(nd.Pairs) * (b.nameBits + b.idBits)
-		b.tblBits[v] += cost
+		cost += t.Degree(p) * (2*b.idBits + 2*b.nameBits)
+		cost += len(t.Pairs(p)) * (b.nameBits + b.idBits)
+		b.tblBits[t.Member(p)] += cost
 	}
 }
 
@@ -148,7 +147,12 @@ func (b *base) buildSearchTree(center int, radius float64) (*searchtree.Tree[int
 	if err != nil {
 		return nil, err
 	}
-	t.Store(b.pairsFor(t.Members))
+	pairs := make([]searchtree.Pair[int], t.Len())
+	for p := range pairs {
+		v := t.Member(p)
+		pairs[p] = searchtree.Pair[int]{Key: b.nm.NameOf(v), Data: b.under.LabelOf(v)}
+	}
+	t.Store(pairs)
 	return t, nil
 }
 

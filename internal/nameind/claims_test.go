@@ -32,7 +32,8 @@ func TestClaim37OwnTreesOnlyAtDensityJumps(t *testing.T) {
 			if tree == nil {
 				continue
 			}
-			for _, v := range tree.Members {
+			for p := 0; p < tree.Len(); p++ {
+				v := tree.Member(p)
 				outer := f.a.BallSize(v, h.Radius(i)*4/eps) // 2^{i+2}/eps
 				if outer == f.g.N() {
 					// Top-of-hierarchy boundary: the outer ball is the
@@ -98,7 +99,8 @@ func TestPackingTreeResidencyPerLevel(t *testing.T) {
 	for j := range s.ballTrees {
 		seen := make(map[int]int)
 		for k, tree := range s.ballTrees[j] {
-			for _, v := range tree.Members {
+			for p := 0; p < tree.Len(); p++ {
+				v := tree.Member(p)
 				if prev, dup := seen[v]; dup {
 					t.Fatalf("node %d hosts trees %d and %d at level j=%d", v, prev, k, j)
 				}
@@ -126,7 +128,8 @@ func TestOwnTreeResidencyBounded(t *testing.T) {
 			if tree == nil {
 				continue
 			}
-			for _, v := range tree.Members {
+			for p := 0; p < tree.Len(); p++ {
+				v := tree.Member(p)
 				trees[v] = append(trees[v], tree.Center)
 			}
 		}

@@ -188,35 +188,26 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 			if err != nil {
 				return 0, h, false, err
 			}
-			nd := t.Nodes[w]
-			if nd == nil {
+			p := t.Pos(w)
+			if p < 0 {
 				return 0, h, false, fmt.Errorf("nameind: node %d outside active search tree", w)
 			}
-			descended := false
-			for _, c := range nd.Children {
-				if !c.Empty && c.Lo <= name && name <= c.Hi {
-					descended = true
-					if h, err = s.sfBeginWalk(h, c.ID); err != nil {
-						return 0, h, false, err
-					}
-					break
+			child, label, found := t.Step(p, name)
+			if child >= 0 {
+				if h, err = s.sfBeginWalk(h, t.Member(child)); err != nil {
+					return 0, h, false, err
 				}
-			}
-			if descended {
 				continue
 			}
-			for _, p := range nd.Pairs {
-				if p.Key == name {
-					h.Found = true
-					h.FoundLabel = int32(p.Data)
-					break
-				}
+			if found {
+				h.Found = true
+				h.FoundLabel = int32(label)
 			}
 			h.Phase = SFNISearchUp
 			if w == t.Center {
 				continue
 			}
-			if h, err = s.sfBeginWalk(h, nd.Parent); err != nil {
+			if h, err = s.sfBeginWalk(h, t.Member(t.Parent(p))); err != nil {
 				return 0, h, false, err
 			}
 		case SFNISearchUp:
@@ -225,7 +216,11 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 				return 0, h, false, err
 			}
 			if w != t.Center {
-				if h, err = s.sfBeginWalk(h, t.Nodes[w].Parent); err != nil {
+				p := t.Pos(w)
+				if p < 0 {
+					return 0, h, false, fmt.Errorf("nameind: node %d outside active search tree", w)
+				}
+				if h, err = s.sfBeginWalk(h, t.Member(t.Parent(p))); err != nil {
 					return 0, h, false, err
 				}
 				continue

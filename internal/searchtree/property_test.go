@@ -34,7 +34,8 @@ func TestQuickStoreRetrieveArbitraryKeySets(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5ee))
 		keys := map[int]int{} // key -> data
 		var pairs []Pair[int]
-		for _, v := range tr.Members {
+		for p := 0; p < tr.Len(); p++ {
+			v := tr.Member(p)
 			if rng.Intn(3) == 0 {
 				key := rng.Intn(1 << 20)
 				if _, dup := keys[key]; dup {
@@ -83,7 +84,7 @@ func TestQuickQuotaBalance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := len(tr.Members)
+		m := tr.Len()
 		k := int(kRaw) % (4 * m)
 		pairs := make([]Pair[int], k)
 		for i := range pairs {
@@ -91,8 +92,8 @@ func TestQuickQuotaBalance(t *testing.T) {
 		}
 		tr.Store(pairs)
 		lo, hi := k/m, (k+m-1)/m
-		for _, nd := range tr.Nodes {
-			if len(nd.Pairs) < lo || len(nd.Pairs) > hi {
+		for p := 0; p < m; p++ {
+			if got := len(tr.Pairs(p)); got < lo || got > hi {
 				return false
 			}
 		}

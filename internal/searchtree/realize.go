@@ -24,13 +24,30 @@ import (
 // entries would cost per node.
 type PathRealizer struct {
 	a metric.Distancer
-	// tailScheme[s] is the tree-routing scheme on site s's Voronoi
-	// region (nil when the tree has no tails).
-	tailScheme map[int]*treeroute.Scheme
-	// tailSiteOf[v] = s when v is a tail node under site s.
-	tailSiteOf map[int]int
+	// members is the tree's ascending member list (shared), for
+	// position lookups.
+	members []int32
+	// tailScheme[i] is the tree-routing scheme on the Voronoi region of
+	// the tree's i-th tail site.
+	tailScheme []*treeroute.Scheme
+	// tailOf[p] is 1 + the tail-site index of the tail node at position
+	// p, 0 for net nodes.
+	tailOf []int32
 	// storage[x] = bits of realization state held at graph node x.
 	storage map[int]int
+}
+
+// newRealizer returns a realizer for t with its tail-site index filled
+// in and no schemes or storage yet.
+func newRealizer[D any](a metric.Distancer, t *Tree[D]) *PathRealizer {
+	r := &PathRealizer{a: a, members: t.members, tailScheme: make([]*treeroute.Scheme, len(t.tailSite)),
+		tailOf: make([]int32, t.Len()), storage: map[int]int{}}
+	for i := range r.tailScheme {
+		for _, v := range t.Tail(i) {
+			r.tailOf[t.Pos(int(v))] = int32(i + 1)
+		}
+	}
+	return r
 }
 
 // NewRealizer builds the physical realizer for a search tree. The
@@ -39,28 +56,22 @@ type PathRealizer struct {
 // shortest-path forest (metric.Voronoi has exactly this shape); it is
 // only invoked when the tree has tails.
 func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites []int) ([]int, []int)) (*PathRealizer, error) {
-	r := &PathRealizer{
-		a:          a,
-		tailScheme: map[int]*treeroute.Scheme{},
-		tailSiteOf: map[int]int{},
-		storage:    map[int]int{},
-	}
+	r := newRealizer(a, t)
 	idBits := bits.UintBits(a.N())
 	// Net edges: charge interior nodes one shared up-entry per level
 	// plus one down-entry per descending edge (Lemma 4.3's layout).
 	type upKey struct{ node, level int }
 	upSeen := map[upKey]bool{}
-	for _, v := range t.Members {
-		nd := t.Nodes[v]
-		if nd.Parent < 0 || nd.Level < 0 {
+	for p := 0; p < t.Len(); p++ {
+		if t.Parent(p) < 0 || t.level[p] < 0 {
 			continue // root or tail edge
 		}
-		path := pathBetween(a, nd.Parent, v)
+		path := pathBetween(a, t.Member(t.Parent(p)), t.Member(p))
 		for _, x := range path[1 : len(path)-1] {
 			// Down entry: target v -> next hop (2 ids).
 			r.storage[x] += 2 * idBits
 			// Up entry: one per (node, level).
-			k := upKey{x, nd.Level}
+			k := upKey{x, int(t.level[p])}
 			if !upSeen[k] {
 				upSeen[k] = true
 				r.storage[x] += 2 * idBits
@@ -69,16 +80,18 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 	}
 	// Tail edges: per-site local tree routing over the site's Voronoi
 	// region.
-	if len(t.TailSites) > 0 {
-		owner, parent := voronoiParent(t.TailSites)
-		for _, s := range t.TailSites {
+	if len(t.tailSite) > 0 {
+		sites := make([]int, len(t.tailSite))
+		for i := range sites {
+			sites[i] = int(t.tailSite[i])
+		}
+		owner, parent := voronoiParent(sites)
+		for i, s := range sites {
 			// Extract the parent forest restricted to s's region.
 			pa := make([]int, a.N())
-			for i := range pa {
-				pa[i] = treeroute.NotInTree
-			}
-			for v := 0; v < a.N(); v++ {
-				if t.TailSites[owner[v]] == s {
+			for v := range pa {
+				pa[v] = treeroute.NotInTree
+				if owner[v] == i {
 					pa[v] = parent[v]
 				}
 			}
@@ -87,7 +100,7 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 			if err != nil {
 				return nil, fmt.Errorf("searchtree: tail scheme at site %d: %w", s, err)
 			}
-			r.tailScheme[s] = sch
+			r.tailScheme[i] = sch
 			for v := 0; v < a.N(); v++ {
 				if pa[v] != treeroute.NotInTree {
 					r.storage[v] += sch.TableBits(v)
@@ -96,25 +109,34 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 			// Endpoints of tail virtual edges keep each other's local
 			// labels.
 			prev := s
-			for _, v := range t.TailOf[s] {
-				r.tailSiteOf[v] = s
-				r.storage[prev] += sch.LabelBits(v)
-				r.storage[v] += sch.LabelBits(prev)
-				prev = v
+			for _, v := range t.Tail(i) {
+				r.storage[prev] += sch.LabelBits(int(v))
+				r.storage[int(v)] += sch.LabelBits(prev)
+				prev = int(v)
 			}
 		}
 	}
 	return r, nil
 }
 
+// tailSchemeOf returns the local scheme of the tail holding tree node
+// v, or nil when v is no tail node of the tree.
+func (r *PathRealizer) tailSchemeOf(v int) *treeroute.Scheme {
+	if p := pos(r.members, v); p >= 0 && r.tailOf[p] > 0 {
+		return r.tailScheme[r.tailOf[p]-1]
+	}
+	return nil
+}
+
 // Walk returns the physical node path realizing the virtual edge
 // between adjacent tree nodes from and to (either direction).
 func (r *PathRealizer) Walk(from, to int) ([]int, error) {
-	if s, ok := r.tailSiteOf[from]; ok {
-		return r.tailScheme[s].Route(from, r.tailScheme[s].Label(to))
+	sch := r.tailSchemeOf(from)
+	if sch == nil {
+		sch = r.tailSchemeOf(to)
 	}
-	if s, ok := r.tailSiteOf[to]; ok {
-		return r.tailScheme[s].Route(from, r.tailScheme[s].Label(to))
+	if sch != nil {
+		return sch.Route(from, sch.Label(to))
 	}
 	return pathBetween(r.a, from, to), nil
 }
@@ -142,12 +164,11 @@ func (r *PathRealizer) NextHopToward(at, target int) (int, error) {
 	if at == target {
 		return 0, fmt.Errorf("searchtree: NextHopToward(%d, %d): already there", at, target)
 	}
-	site, ok := r.tailSiteOf[target]
-	if !ok {
-		site, ok = r.tailSiteOf[at]
+	sch := r.tailSchemeOf(target)
+	if sch == nil {
+		sch = r.tailSchemeOf(at)
 	}
-	if ok {
-		sch := r.tailScheme[site]
+	if sch != nil {
 		next, arrived, err := sch.NextHop(at, sch.Label(target))
 		if err != nil {
 			return 0, err

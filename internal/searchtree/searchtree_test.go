@@ -35,31 +35,31 @@ func TestTreeCoversBall(t *testing.T) {
 	_, a := geo(t, 150, 1)
 	tr := buildTree(t, a, 3, a.Diameter()/3, 0)
 	ball := a.Ball(3, a.Diameter()/3)
-	if len(tr.Members) != len(ball) {
-		t.Fatalf("tree has %d members, ball has %d", len(tr.Members), len(ball))
+	if tr.Len() != len(ball) {
+		t.Fatalf("tree has %d members, ball has %d", tr.Len(), len(ball))
 	}
 	for _, v := range ball {
-		if _, ok := tr.Nodes[v]; !ok {
+		if tr.Pos(v) < 0 {
 			t.Fatalf("ball node %d missing from tree", v)
 		}
 	}
 	// Every non-root node's parent is a tree node one level up.
-	for v, nd := range tr.Nodes {
+	for p := 0; p < tr.Len(); p++ {
+		v, pp, lvl := tr.Member(p), tr.Parent(p), int(tr.level[p])
 		if v == tr.Center {
-			if nd.Parent != -1 {
+			if pp != -1 {
 				t.Fatal("center has a parent")
 			}
 			continue
 		}
-		p, ok := tr.Nodes[nd.Parent]
-		if !ok {
-			t.Fatalf("node %d parent %d not in tree", v, nd.Parent)
+		if pp < 0 {
+			t.Fatalf("node %d has no parent", v)
 		}
-		if nd.Level >= 0 && p.Level != nd.Level-1 {
-			t.Fatalf("node %d at level %d has parent at level %d", v, nd.Level, p.Level)
+		if lvl >= 0 && int(tr.level[pp]) != lvl-1 {
+			t.Fatalf("node %d at level %d has parent at level %d", v, lvl, tr.level[pp])
 		}
-		if nd.Level >= 0 && math.Abs(nd.EdgeW-a.Dist(v, nd.Parent)) > 1e-9 {
-			t.Fatalf("edge weight %v != distance %v", nd.EdgeW, a.Dist(v, nd.Parent))
+		if lvl >= 0 && math.Abs(tr.node[p].edgeW-a.Dist(v, tr.Member(pp))) > 1e-9 {
+			t.Fatalf("edge weight %v != distance %v", tr.node[p].edgeW, a.Dist(v, tr.Member(pp)))
 		}
 	}
 }
@@ -78,12 +78,12 @@ func TestTreeHeightBound(t *testing.T) {
 func TestNetLevelsAreNets(t *testing.T) {
 	_, a := geo(t, 120, 3)
 	tr := buildTree(t, a, 5, a.Diameter()/2, 0)
-	for lvl := 1; lvl < len(tr.Levels); lvl++ {
+	for lvl := 1; lvl < tr.NumLevels(); lvl++ {
 		rho := tr.LevelRadius(lvl)
-		net := tr.Levels[lvl]
+		net := tr.Level(lvl)
 		for i := 0; i < len(net); i++ {
 			for j := i + 1; j < len(net); j++ {
-				if d := a.Dist(net[i], net[j]); d < rho && rho > a.MinPairDistance() {
+				if d := a.Dist(int(net[i]), int(net[j])); d < rho && rho > a.MinPairDistance() {
 					t.Fatalf("level %d: nodes %d,%d at distance %v < rho=%v",
 						lvl, net[i], net[j], d, rho)
 				}
@@ -96,12 +96,14 @@ func TestStoreAndSearchAll(t *testing.T) {
 	_, a := geo(t, 150, 4)
 	tr := buildTree(t, a, 7, a.Diameter(), 0)
 	// Store one pair per member: key = 1000 + node id, data = node id.
-	pairs := make([]Pair[int], len(tr.Members))
-	for i, v := range tr.Members {
+	pairs := make([]Pair[int], tr.Len())
+	for i := range pairs {
+		v := tr.Member(i)
 		pairs[i] = Pair[int]{Key: 1000 + v, Data: v}
 	}
 	tr.Store(pairs)
-	for _, v := range tr.Members {
+	for p := 0; p < tr.Len(); p++ {
+		v := tr.Member(p)
 		data, found, trail := tr.Search(1000 + v)
 		if !found || data != v {
 			t.Fatalf("Search(%d) = %d,%v", 1000+v, data, found)
@@ -111,7 +113,7 @@ func TestStoreAndSearchAll(t *testing.T) {
 		}
 		// Trail must follow parent-child virtual edges.
 		for i := 1; i < len(trail); i++ {
-			if tr.Nodes[trail[i]].Parent != trail[i-1] {
+			if tr.Member(tr.Parent(tr.Pos(trail[i]))) != trail[i-1] {
 				t.Fatalf("trail hop %d -> %d is not a tree edge", trail[i-1], trail[i])
 			}
 		}
@@ -138,16 +140,16 @@ func TestSearchAbsentKey(t *testing.T) {
 func TestStoreQuotaEven(t *testing.T) {
 	_, a := geo(t, 120, 6)
 	tr := buildTree(t, a, 0, a.Diameter(), 0)
-	m := len(tr.Members)
+	m := tr.Len()
 	// k = 4m pairs: every node must hold exactly 4.
 	pairs := make([]Pair[int], 4*m)
 	for i := range pairs {
 		pairs[i] = Pair[int]{Key: i, Data: i}
 	}
 	tr.Store(pairs)
-	for v, nd := range tr.Nodes {
-		if len(nd.Pairs) != 4 {
-			t.Fatalf("node %d holds %d pairs, want 4", v, len(nd.Pairs))
+	for p := 0; p < m; p++ {
+		if got := len(tr.Pairs(p)); got != 4 {
+			t.Fatalf("node %d holds %d pairs, want 4", tr.Member(p), got)
 		}
 	}
 	// And every key must be retrievable.
@@ -164,12 +166,14 @@ func TestSearchCostBound(t *testing.T) {
 	_, a := geo(t, 150, 7)
 	radius := a.Diameter() / 2
 	tr := buildTree(t, a, 0, radius, 0)
-	pairs := make([]Pair[int], len(tr.Members))
-	for i, v := range tr.Members {
+	pairs := make([]Pair[int], tr.Len())
+	for i := range pairs {
+		v := tr.Member(i)
 		pairs[i] = Pair[int]{Key: v, Data: v}
 	}
 	tr.Store(pairs)
-	for _, v := range tr.Members {
+	for p := 0; p < tr.Len(); p++ {
+		v := tr.Member(p)
 		_, found, trail := tr.Search(v)
 		if !found {
 			t.Fatalf("key %d not found", v)
@@ -183,8 +187,8 @@ func TestSearchCostBound(t *testing.T) {
 func TestSingletonTree(t *testing.T) {
 	_, a := geo(t, 50, 8)
 	tr := buildTree(t, a, 9, 0, 0)
-	if len(tr.Members) != 1 {
-		t.Fatalf("radius-0 tree has %d members", len(tr.Members))
+	if tr.Len() != 1 {
+		t.Fatalf("radius-0 tree has %d members", tr.Len())
 	}
 	tr.Store([]Pair[int]{{Key: 42, Data: 7}})
 	d, found, trail := tr.Search(42)
@@ -196,20 +200,25 @@ func TestSingletonTree(t *testing.T) {
 func TestCappedLevelsBuildTails(t *testing.T) {
 	_, a := geo(t, 200, 9)
 	tr := buildTree(t, a, 0, a.Diameter(), 2)
-	if len(tr.Levels) > 3 { // levels 0,1,2
-		t.Fatalf("levels = %d, want <= 3", len(tr.Levels))
+	if tr.NumLevels() > 3 { // levels 0,1,2
+		t.Fatalf("levels = %d, want <= 3", tr.NumLevels())
 	}
 	// All ball members must still be in the tree.
 	ball := a.Ball(0, a.Diameter())
-	if len(tr.Members) != len(ball) {
-		t.Fatalf("capped tree lost members: %d vs %d", len(tr.Members), len(ball))
+	if tr.Len() != len(ball) {
+		t.Fatalf("capped tree lost members: %d vs %d", tr.Len(), len(ball))
+	}
+	var top []int
+	for _, v := range tr.Level(tr.NumLevels() - 1) {
+		top = append(top, int(v))
 	}
 	tails := 0
-	for _, s := range tr.TailSites {
-		tails += len(tr.TailOf[s])
+	for i := 0; i < len(tr.tailSite); i++ {
+		s := int(tr.tailSite[i])
+		tails += len(tr.Tail(i))
 		// Tail nodes must be assigned to their nearest site.
-		for _, v := range tr.TailOf[s] {
-			got, _ := a.Nearest(v, tr.Levels[len(tr.Levels)-1])
+		for _, v := range tr.Tail(i) {
+			got, _ := a.Nearest(int(v), top)
 			if got != s {
 				t.Fatalf("tail node %d under site %d, nearest is %d", v, s, got)
 			}
@@ -227,12 +236,14 @@ func TestCappedLevelsBuildTails(t *testing.T) {
 		t.Fatalf("capped height %v > (1+3eps)r", h)
 	}
 	// Search still finds everything.
-	pairs := make([]Pair[int], len(tr.Members))
-	for i, v := range tr.Members {
+	pairs := make([]Pair[int], tr.Len())
+	for i := range pairs {
+		v := tr.Member(i)
 		pairs[i] = Pair[int]{Key: v, Data: v}
 	}
 	tr.Store(pairs)
-	for _, v := range tr.Members {
+	for p := 0; p < tr.Len(); p++ {
+		v := tr.Member(p)
 		if d, found, _ := tr.Search(v); !found || d != v {
 			t.Fatalf("capped Search(%d) = %d,%v", v, d, found)
 		}
@@ -242,8 +253,9 @@ func TestCappedLevelsBuildTails(t *testing.T) {
 func TestRealizerWalksAndStorage(t *testing.T) {
 	g, a := geo(t, 150, 10)
 	tr := buildTree(t, a, 0, a.Diameter(), 3)
-	pairs := make([]Pair[int], len(tr.Members))
-	for i, v := range tr.Members {
+	pairs := make([]Pair[int], tr.Len())
+	for i := range pairs {
+		v := tr.Member(i)
 		pairs[i] = Pair[int]{Key: v, Data: v}
 	}
 	tr.Store(pairs)
@@ -256,7 +268,7 @@ func TestRealizerWalksAndStorage(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		v := tr.Members[rng.Intn(len(tr.Members))]
+		v := tr.Member(rng.Intn(tr.Len()))
 		_, found, trail := tr.Search(v)
 		if !found {
 			t.Fatalf("key %d missing", v)

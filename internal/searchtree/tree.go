@@ -18,8 +18,11 @@
 package searchtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 
 	"compactrouting/internal/metric"
@@ -31,46 +34,45 @@ type Pair[D any] struct {
 	Data D
 }
 
-// ChildRef is the per-child information a tree node keeps: the child's
-// graph node id, the virtual edge weight, and the key range of the
-// pairs stored in the child's subtree (Empty if none).
-type ChildRef struct {
-	ID    int
-	EdgeW float64
-	Lo    int
-	Hi    int
-	Empty bool
-}
-
-// Node is one search-tree node, resident at a graph node.
-type Node[D any] struct {
-	Parent   int     // graph node id of tree parent, -1 at the center
-	EdgeW    float64 // virtual edge weight to parent
-	Level    int     // net level (0 = center); tail nodes get level -1
-	Children []ChildRef
-	Pairs    []Pair[D] // pairs stored at this node, sorted by key
-	// Lo, Hi bound the keys stored in this node's subtree (meaningless
-	// when SubEmpty).
-	Lo, Hi   int
-	SubEmpty bool
-}
-
-// Tree is a compiled search tree on a ball.
+// Tree is a compiled search tree on a ball, stored as flat arrays
+// indexed by member position: position p hosts graph node Member(p),
+// members are in ascending id order, and Pos maps a node id back to its
+// position with one binary search. Every int32 array shares one
+// allocation.
 type Tree[D any] struct {
-	Center  int
-	Radius  float64
-	Eps     float64
-	Nodes   map[int]*Node[D]
-	Members []int   // ball nodes, ascending id (== tree nodes)
-	Levels  [][]int // Levels[t] = U_t; tail nodes are not in any level
-	// TailSites lists the sites whose Voronoi tails absorb the
-	// below-cap nodes (empty for type-I trees).
-	TailSites []int
-	// TailOf[site] lists the tail nodes hanging under site, in path
-	// order.
-	TailOf map[int][]int
+	Center int
+	Radius float64
+	Eps    float64
 	// TailEdgeW is the virtual weight of every tail edge (2*eps*r/n).
 	TailEdgeW float64
+
+	root    int32   // position of Center
+	members []int32 // ball nodes, ascending id
+	parent  []int32 // position of the tree parent, -1 at the root
+	level   []int32 // net level (0 = center); tail nodes get -1
+	// kids[kidOff[p]:kidOff[p+1]] are p's children, as ascending
+	// positions (the order they joined the tree).
+	kidOff, kids []int32
+	// pairs[pairLo[p]:pairHi[p]] are the pairs stored at p, by key.
+	pairLo, pairHi []int32
+	node           []node // per position: edge weight and key range
+	pairs          []Pair[D]
+	// layers lists the net levels, then the Voronoi tails, as node
+	// ids: U_t is layers[levelOff[t]:levelOff[t+1]], and the tail under
+	// site tailSite[i] is layers[tailOff[i]:tailOff[i+1]] in path order.
+	layers            []int32
+	levelOff          []int32
+	tailSite, tailOff []int32
+}
+
+// node is a position's record: the virtual edge weight to its parent
+// and the key range of the pairs stored in its subtree (both 0 when
+// empty, i.e. the subtree stores no pair). A parent's reference to a
+// child is the child's own record, so it is stored once.
+type node struct {
+	edgeW  float64
+	lo, hi int
+	empty  bool
 }
 
 // Config controls construction.
@@ -86,6 +88,68 @@ type Config struct {
 	MinNetRadius float64
 }
 
+// scratch is the reusable working memory of New and DecodeTree,
+// so a tree costs only the allocations it keeps.
+type scratch struct {
+	ball, order, up, rest       []int
+	w                           []float64
+	levelOff, tailSite, tailLen []int
+	keys                        []int64
+	ids                         []int32
+	kid                         []node
+	// at[v] is 1 + the position of node v in the tree at hand, 0 for
+	// other nodes (see index).
+	at []int32
+}
+
+// index makes sc.at map the ids in members, each below n, to 1 + their
+// positions; unindex zeroes those entries again for the next tree.
+func (sc *scratch) index(members []int32, n int) {
+	if len(sc.at) < n {
+		sc.at = make([]int32, n)
+	}
+	for p, v := range members {
+		sc.at[v] = int32(p + 1)
+	}
+}
+
+func (sc *scratch) unindex(members []int32) {
+	for _, v := range members {
+		sc.at[v] = 0
+	}
+}
+
+// spare is a leaky free list of idle scratches, each sized by the
+// largest ball it has held, with room for one per worker of a parallel
+// build (par.For runs GOMAXPROCS of them). Unlike a sync.Pool it keeps
+// them across GCs and under the race detector, so the allocation count
+// of a build is deterministic.
+var spare = make(chan *scratch, runtime.GOMAXPROCS(0))
+
+func getScratch() *scratch {
+	select {
+	case sc := <-spare:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+func putScratch(sc *scratch) {
+	select {
+	case spare <- sc:
+	default:
+	}
+}
+
+// grow returns s emptied, with capacity for at least n elements.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // New builds the search tree on B_center(radius). The APSP oracle is
 // used only at construction time (the preprocessing phase).
 func New[D any](a metric.Distancer, center int, radius float64, cfg Config) (*Tree[D], error) {
@@ -95,166 +159,279 @@ func New[D any](a metric.Distancer, center int, radius float64, cfg Config) (*Tr
 	if cfg.MinNetRadius <= 0 {
 		return nil, fmt.Errorf("searchtree: MinNetRadius %v must be positive", cfg.MinNetRadius)
 	}
-	members := a.Ball(center, radius)
-	sort.Ints(members)
-	t := &Tree[D]{
-		Center:  center,
-		Radius:  radius,
-		Eps:     cfg.Eps,
-		Nodes:   make(map[int]*Node[D], len(members)),
-		Members: members,
-		TailOf:  map[int][]int{},
-	}
-	t.Nodes[center] = &Node[D]{Parent: -1, Level: 0}
-	t.Levels = [][]int{{center}}
-	remaining := make([]int, 0, len(members)-1)
-	for _, v := range members {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.ball = a.AppendBall(sc.ball[:0], center, radius)
+	ball := sc.ball
+	sort.Ints(ball)
+	m := len(ball)
+	// order lists the nodes as they join the tree: the center, each net
+	// level (level l is order[levelOff[l]:levelOff[l+1]]), then the
+	// tails; up[i] and w[i] are order[i]'s parent and edge
+	// weight. Every level is a subsequence of the sorted ball, so it is
+	// ascending too. order never outgrows its capacity m, so the prev
+	// level sliced from it stays valid while the next one is appended.
+	order, up, w := grow(sc.order, m), grow(sc.up, m), grow(sc.w, m)
+	order, up, w = append(order, center), append(up, -1), append(w, 0)
+	levelOff := append(sc.levelOff[:0], 0, 1)
+	rest := grow(sc.rest, m)
+	for _, v := range ball {
 		if v != center {
-			remaining = append(remaining, v)
+			rest = append(rest, v)
 		}
 	}
+	t := &Tree[D]{Center: center, Radius: radius, Eps: cfg.Eps}
+	tailSite, tailLen := sc.tailSite[:0], sc.tailLen[:0]
 	rho := cfg.Eps * radius / 2
-	level := 1
-	for len(remaining) > 0 {
+	for level := 1; len(rest) > 0; level++ {
+		start := len(order)
+		prev := order[levelOff[level-1]:start]
 		if cfg.MaxLevels > 0 && level > cfg.MaxLevels {
-			t.buildTails(a, remaining)
-			remaining = nil
+			// Definition 4.2(ii): each remaining node joins the Voronoi
+			// region of its nearest top-net site; a region's nodes hang
+			// as a path under the site, ascending, with virtual edge
+			// weight 2*eps*r/n.
+			t.TailEdgeW = 2 * cfg.Eps * radius / float64(a.N())
+			keys := grow(sc.keys, len(rest))
+			for _, v := range rest {
+				s, _ := a.Nearest(v, prev)
+				keys = append(keys, int64(sort.SearchInts(prev, s))<<32|int64(v))
+			}
+			slices.Sort(keys) // by site index, then id
+			for k, key := range keys {
+				parent := order[len(order)-1]
+				if k == 0 || keys[k-1]>>32 != key>>32 {
+					parent = prev[key>>32]
+					tailSite, tailLen = append(tailSite, parent), append(tailLen, 0)
+				}
+				tailLen[len(tailLen)-1]++
+				order, up, w = append(order, int(key&(1<<32-1))), append(up, parent), append(w, t.TailEdgeW)
+			}
+			sc.keys = keys
 			break
 		}
 		// Greedy net of the remaining nodes at radius rho (everything
 		// joins once rho is at or below the minimum pairwise distance).
-		var net []int
 		if rho <= cfg.MinNetRadius {
-			net = remaining
-			remaining = nil
+			order = append(order, rest...)
+			rest = rest[:0]
 		} else {
-			var rest []int
-			for _, v := range remaining {
+			k := 0
+			for _, v := range rest {
 				ok := true
-				for _, y := range net {
+				for _, y := range order[start:] {
 					if a.Dist(v, y) < rho {
 						ok = false
 						break
 					}
 				}
 				if ok {
-					net = append(net, v)
+					order = append(order, v)
 				} else {
-					rest = append(rest, v)
+					rest[k] = v
+					k++
 				}
 			}
-			remaining = rest
+			rest = rest[:k]
 		}
-		prev := t.Levels[level-1]
-		for _, v := range net {
+		for _, v := range order[start:] {
 			p, d := a.Nearest(v, prev)
-			t.Nodes[v] = &Node[D]{Parent: p, EdgeW: d, Level: level}
-			t.Nodes[p].Children = append(t.Nodes[p].Children,
-				ChildRef{ID: v, EdgeW: d, Empty: true})
+			up, w = append(up, p), append(w, d)
 		}
-		t.Levels = append(t.Levels, net)
+		levelOff = append(levelOff, len(order))
 		rho /= 2
-		level++
 	}
+	sc.order, sc.up, sc.w, sc.rest = order, up, w, rest
+	sc.levelOff, sc.tailSite, sc.tailLen = levelOff, tailSite, tailLen
+	t.assemble(sc, a.N(), levelOff, tailSite, tailLen)
 	return t, nil
 }
 
-// buildTails implements Definition 4.2(ii): assign each remaining node
-// to the Voronoi region of its nearest top-net site and hang the
-// region's nodes as a path under the site with virtual edge weight
-// 2*eps*r/n.
-func (t *Tree[D]) buildTails(a metric.Distancer, remaining []int) {
-	sites := t.Levels[len(t.Levels)-1]
-	t.TailEdgeW = 2 * t.Eps * t.Radius / float64(a.N())
-	byleSite := make(map[int][]int)
-	for _, v := range remaining {
-		s, _ := a.Nearest(v, sites)
-		byleSite[s] = append(byleSite[s], v)
+// assemble lays out a tree from New's sorted ball and joining order
+// (in sc, over an n-node graph), the level offsets, and the tail sites
+// with their tail lengths. No pairs are stored yet.
+func (t *Tree[D]) assemble(sc *scratch, n int, levelOff, tailSite, tailLen []int) {
+	m, levels := len(sc.ball), len(levelOff)-1
+	t.alloc(m, m, levels, len(tailSite))
+	for p, v := range sc.ball {
+		t.members[p] = int32(v)
 	}
-	for _, s := range sites {
-		tail := byleSite[s]
-		if len(tail) == 0 {
-			continue
+	sc.index(t.members, n)
+	defer sc.unindex(t.members)
+	t.setRanges(levelOff, tailSite, tailLen)
+	for i, v := range sc.order {
+		p := sc.at[v] - 1
+		t.layers[i], t.node[p].edgeW, t.parent[p] = int32(v), sc.w[i], -1
+		if up := sc.up[i]; up >= 0 {
+			t.parent[p] = sc.at[up] - 1
 		}
-		sort.Ints(tail)
-		t.TailSites = append(t.TailSites, s)
-		t.TailOf[s] = tail
-		prev := s
-		for _, v := range tail {
-			t.Nodes[v] = &Node[D]{Parent: prev, EdgeW: t.TailEdgeW, Level: -1}
-			t.Nodes[prev].Children = append(t.Nodes[prev].Children,
-				ChildRef{ID: v, EdgeW: t.TailEdgeW, Empty: true})
-			prev = v
+		if t.level[p] = int32(sort.SearchInts(levelOff[1:], i+1)); t.level[p] == int32(levels) {
+			t.level[p] = -1
 		}
 	}
-	sort.Ints(t.TailSites)
+	t.root = sc.at[t.Center] - 1
+	// Children as CSR in ascending position order, which is the order
+	// they joined: count, prefix-sum, fill while advancing each start
+	// to its end, then shift the ends back into starts.
+	for _, pp := range t.parent {
+		if pp >= 0 {
+			t.kidOff[pp+1]++
+		}
+	}
+	for p := 0; p < m; p++ {
+		t.kidOff[p+1] += t.kidOff[p]
+	}
+	for c, pp := range t.parent {
+		if pp >= 0 {
+			t.kids[t.kidOff[pp]] = int32(c)
+			t.kidOff[pp]++
+		}
+	}
+	copy(t.kidOff[1:], t.kidOff[:m])
+	t.kidOff[0] = 0
+	for p := range t.node {
+		t.node[p].empty = true
+	}
 }
+
+// setRanges fills the level and tail ranges of layers: level l is
+// [levelOff[l], levelOff[l+1]), and the tails follow, tail i (under
+// tailSite[i]) holding tailLen[i] ids.
+func (t *Tree[D]) setRanges(levelOff, tailSite, tailLen []int) {
+	at := levelOff[len(levelOff)-1]
+	for l, off := range levelOff {
+		t.levelOff[l] = int32(off)
+	}
+	for i, s := range tailSite {
+		t.tailSite[i], t.tailOff[i] = int32(s), int32(at)
+		at += tailLen[i]
+	}
+	t.tailOff[len(tailSite)] = int32(at)
+}
+
+// alloc sizes t's arrays for m members, a layer list of the given
+// length, the given number of net levels and tail sites; every int32
+// array is carved from one allocation.
+func (t *Tree[D]) alloc(m, layers, levels, tails int) {
+	block := make([]int32, 7*m+layers+levels+1+2*tails+1)
+	take := func(k int) []int32 {
+		s := block[:k:k]
+		block = block[k:]
+		return s
+	}
+	t.members, t.parent, t.level = take(m), take(m), take(m)
+	t.kidOff, t.kids = take(m+1), take(m-1)
+	t.pairLo, t.pairHi = take(m), take(m)
+	t.layers, t.levelOff = take(layers), take(levels+1)
+	t.tailSite, t.tailOff = take(tails), take(tails+1)
+	t.node = make([]node, m)
+}
+
+// Len returns the number of tree nodes (the ball's size).
+func (t *Tree[D]) Len() int { return len(t.members) }
+
+// Member returns the graph node at position p.
+func (t *Tree[D]) Member(p int) int { return int(t.members[p]) }
+
+// Pos returns v's position, or -1 when v is not a tree node.
+func (t *Tree[D]) Pos(v int) int { return pos(t.members, v) }
+
+// pos binary-searches the ascending id list members for v.
+func pos(members []int32, v int) int {
+	if p, ok := slices.BinarySearch(members, int32(v)); ok && int(int32(v)) == v {
+		return p
+	}
+	return -1
+}
+
+// Parent returns the position of p's tree parent, -1 at the center.
+func (t *Tree[D]) Parent(p int) int { return int(t.parent[p]) }
+
+// Degree returns the number of children of the node at position p.
+func (t *Tree[D]) Degree(p int) int { return int(t.kidOff[p+1] - t.kidOff[p]) }
+
+// Pairs returns the pairs stored at position p, sorted by key.
+func (t *Tree[D]) Pairs(p int) []Pair[D] { return t.pairs[t.pairLo[p]:t.pairHi[p]] }
+
+// NumLevels returns the number of net levels, the center's included.
+func (t *Tree[D]) NumLevels() int { return len(t.levelOff) - 1 }
+
+// Level returns the node ids of net level l (U_l), ascending.
+func (t *Tree[D]) Level(l int) []int32 { return t.layers[t.levelOff[l]:t.levelOff[l+1]] }
+
+// Tail returns the node ids hanging under the i-th tail site, in path
+// order.
+func (t *Tree[D]) Tail(i int) []int32 { return t.layers[t.tailOff[i]:t.tailOff[i+1]] }
 
 // Height returns the maximum virtual-edge distance from the center to
 // any tree node; Equation (3) bounds it by (1+O(eps)) * Radius.
 func (t *Tree[D]) Height() float64 {
-	max := 0.0
-	for _, v := range t.Members {
+	height := 0.0
+	for p := range t.members {
 		h := 0.0
-		for n := t.Nodes[v]; n.Parent != -1; n = t.Nodes[n.Parent] {
-			h += n.EdgeW
+		for q := p; t.parent[q] != -1; q = int(t.parent[q]) {
+			h += t.node[q].edgeW
 		}
-		if h > max {
-			max = h
+		if h > height {
+			height = h
 		}
 	}
-	return max
+	return height
 }
 
 // Store distributes the pairs over the tree per Algorithm 1: sort by
 // key, hand each DFS-visited node an even quota, then record subtree
-// ranges bottom-up. It must be called exactly once, and replaces any
-// previous contents.
+// ranges bottom-up. The tree takes ownership of pairs (it is sorted in
+// place and kept). Store replaces any previous contents.
 func (t *Tree[D]) Store(pairs []Pair[D]) {
-	sorted := make([]Pair[D], len(pairs))
-	copy(sorted, pairs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	m := len(t.Members)
-	k := len(sorted)
-	// DFS assignment: node with DFS index q gets pairs
-	// [floor(q*k/m), floor((q+1)*k/m)).
-	q := 0
-	var assign func(v int)
-	assign = func(v int) {
-		lo, hi := q*k/m, (q+1)*k/m
-		q++
-		nd := t.Nodes[v]
-		nd.Pairs = sorted[lo:hi:hi]
-		for _, c := range nd.Children {
-			assign(c.ID)
-		}
+	slices.SortFunc(pairs, func(x, y Pair[D]) int { return cmp.Compare(x.Key, y.Key) })
+	t.pairs = pairs
+	t.store(int(t.root), 0)
+}
+
+// store gives p, the node with DFS index q, the pairs
+// [floor(q*k/m), floor((q+1)*k/m)), then does the same for p's subtree
+// in DFS order and records p's subtree range. It returns the DFS index
+// after the subtree.
+func (t *Tree[D]) store(p, q int) int {
+	k, m := len(t.pairs), len(t.members)
+	t.pairLo[p], t.pairHi[p] = int32(q*k/m), int32((q+1)*k/m)
+	nd := node{edgeW: t.node[p].edgeW, empty: true}
+	if own := t.Pairs(p); len(own) > 0 {
+		nd.lo, nd.hi, nd.empty = own[0].Key, own[len(own)-1].Key, false
 	}
-	assign(t.Center)
-	// Subtree ranges bottom-up.
-	var ranges func(v int) (lo, hi int, ok bool)
-	ranges = func(v int) (int, int, bool) {
-		nd := t.Nodes[v]
-		lo, hi, ok := 0, 0, false
-		if len(nd.Pairs) > 0 {
-			lo, hi, ok = nd.Pairs[0].Key, nd.Pairs[len(nd.Pairs)-1].Key, true
-		}
-		for i := range nd.Children {
-			clo, chi, cok := ranges(nd.Children[i].ID)
-			nd.Children[i].Lo, nd.Children[i].Hi, nd.Children[i].Empty = clo, chi, !cok
-			if cok {
-				if !ok || clo < lo {
-					lo = clo
-				}
-				if !ok || chi > hi {
-					hi = chi
-				}
-				ok = true
+	q++
+	for _, c := range t.kids[t.kidOff[p]:t.kidOff[p+1]] {
+		q = t.store(int(c), q)
+		if cn := t.node[c]; !cn.empty {
+			if nd.empty || cn.lo < nd.lo {
+				nd.lo = cn.lo
 			}
+			if nd.empty || cn.hi > nd.hi {
+				nd.hi = cn.hi
+			}
+			nd.empty = false
 		}
-		nd.Lo, nd.Hi, nd.SubEmpty = lo, hi, !ok
-		return lo, hi, ok
 	}
-	ranges(t.Center)
+	t.node[p] = nd
+	return q
+}
+
+// Step is one step of Algorithm 2 at position p: it returns the child
+// position whose subtree range holds key, or -1 and the data stored
+// under key at p itself (found reports whether there is one).
+func (t *Tree[D]) Step(p, key int) (child int, data D, found bool) {
+	for _, c := range t.kids[t.kidOff[p]:t.kidOff[p+1]] {
+		if cn := &t.node[c]; !cn.empty && cn.lo <= key && key <= cn.hi {
+			return int(c), data, false
+		}
+	}
+	for _, pr := range t.Pairs(p) {
+		if pr.Key == key {
+			return -1, pr.Data, true
+		}
+	}
+	return -1, data, false
 }
 
 // Search performs Algorithm 2: descend from the center following child
@@ -263,28 +440,15 @@ func (t *Tree[D]) Store(pairs []Pair[D]) {
 // the center — the caller realizes the trail physically and doubles it
 // for the return leg.
 func (t *Tree[D]) Search(key int) (data D, found bool, trail []int) {
-	cur := t.Center
-	trail = append(trail, cur)
+	p := int(t.root)
+	trail = append(trail, t.Member(p))
 	for {
-		nd := t.Nodes[cur]
-		descended := false
-		for _, c := range nd.Children {
-			if !c.Empty && c.Lo <= key && key <= c.Hi {
-				cur = c.ID
-				trail = append(trail, cur)
-				descended = true
-				break
-			}
+		c, d, ok := t.Step(p, key)
+		if c < 0 {
+			return d, ok, trail
 		}
-		if descended {
-			continue
-		}
-		for _, p := range nd.Pairs {
-			if p.Key == key {
-				return p.Data, true, trail
-			}
-		}
-		return data, false, trail
+		p = c
+		trail = append(trail, t.Member(p))
 	}
 }
 
@@ -292,20 +456,18 @@ func (t *Tree[D]) Search(key int) (data D, found bool, trail []int) {
 func (t *Tree[D]) VirtualCost(trail []int) float64 {
 	c := 0.0
 	for i := 1; i < len(trail); i++ {
-		c += t.Nodes[trail[i]].EdgeW
+		c += t.node[t.Pos(trail[i])].edgeW
 	}
 	return c
 }
 
 // MaxDegree returns the largest number of children of any tree node.
 func (t *Tree[D]) MaxDegree() int {
-	max := 0
-	for _, nd := range t.Nodes {
-		if len(nd.Children) > max {
-			max = len(nd.Children)
-		}
+	deg := 0
+	for p := range t.members {
+		deg = max(deg, t.Degree(p))
 	}
-	return max
+	return deg
 }
 
 // LevelRadius returns the net radius used for level t >= 1
