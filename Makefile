@@ -146,9 +146,9 @@ bench-check:
 	{ cmp -s $$tmp/exp.txt docs/experiments_output.txt || { echo "docs/experiments_output.txt is stale: run make bench"; exit 1; }; } && \
 	echo "bench artifacts: ok"
 
-# ~10s total: each codec fuzzer, the lazy oracle's differential fuzzer
-# and the shortest-path kernel's queue fuzzer run briefly from their
-# seed corpus
+# ~10s total: each codec fuzzer, the lazy oracle's differential fuzzer,
+# the shortest-path kernel's queue fuzzer and the route cache's model
+# fuzzer run briefly from their seed corpus
 # (testdata/fuzz; regenerate with REGEN_FUZZ_CORPUS=1 go test
 # ./internal/... -run TestRegenFuzzCorpus). A fuzzer accepts exactly
 # one -fuzz target per invocation, hence the loop.
@@ -164,6 +164,7 @@ fuzz-smoke:
 		"./internal/trace FuzzTraceCodec" \
 		"./internal/dist FuzzDecodeMsg" \
 		"./internal/frame FuzzDecodeFrame" \
+		"./internal/server FuzzLiteCache" \
 		"./internal/snapshot FuzzDecodeSnapshot" \
 		"./internal/searchtree FuzzDecodeTree" \
 		"./internal/metric FuzzLazyBall" \

@@ -201,11 +201,18 @@ func (r *Reader) ReadWords(dst []uint64) error {
 	return nil
 }
 
-var errUvarintOverflow = errors.New("bits: uvarint overflows uint64")
+var (
+	errUvarintOverflow = errors.New("bits: uvarint overflows uint64")
+	errUvarintOverlong = errors.New("bits: overlong uvarint")
+)
 
-// ReadUvarint consumes a varint written by WriteUvarint. At a
-// byte-aligned position every group is a whole byte of the buffer, so
-// it reads bytes directly; elsewhere each group is one ReadBits(8).
+// ReadUvarint consumes a varint written by WriteUvarint, and only the
+// canonical form WriteUvarint writes: a final zero group after a
+// continuation (overlong) and a tenth group wider than the one bit
+// left in a uint64 (wrapped) are refused, so every accepted varint
+// re-encodes to exactly the bits it came from. At a byte-aligned
+// position every group is a whole byte of the buffer, so it reads
+// bytes directly; elsewhere each group is one ReadBits(8).
 func (r *Reader) ReadUvarint() (uint64, error) {
 	if r.pos%8 == 0 {
 		return r.readAlignedUvarint()
@@ -219,10 +226,10 @@ func (r *Reader) ReadUvarint() (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v |= grp & 0x7f << shift
 		if grp < 0x80 {
-			return v, nil
+			return lastGroup(v, grp, shift)
 		}
+		v |= grp & 0x7f << shift
 	}
 }
 
@@ -243,12 +250,26 @@ func (r *Reader) readAlignedUvarint() (uint64, error) {
 		}
 		grp := r.buf[i]
 		i++
-		v |= uint64(grp&0x7f) << shift
 		if grp < 0x80 {
 			r.pos = 8 * i
-			return v, nil
+			return lastGroup(v, uint64(grp), shift)
 		}
+		v |= uint64(grp&0x7f) << shift
 	}
+}
+
+// lastGroup adds a varint's final group grp, at bit offset shift, to
+// the value v of the groups before it, refusing the two non-canonical
+// forms: a zero final group after a continuation, and a tenth group
+// wider than one bit.
+func lastGroup(v, grp uint64, shift uint) (uint64, error) {
+	switch {
+	case grp == 0 && shift > 0:
+		return 0, errUvarintOverlong
+	case shift == 63 && grp > 1:
+		return 0, errUvarintOverflow
+	}
+	return v | grp<<shift, nil
 }
 
 // ReadGamma consumes an Elias gamma code written by WriteGamma.

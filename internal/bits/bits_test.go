@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -212,6 +213,44 @@ func TestReaderTruncated(t *testing.T) {
 	}
 }
 
+func TestUvarintRefusesNonCanonical(t *testing.T) {
+	// WriteUvarint never writes a zero final group after a continuation
+	// (overlong) or a tenth group wider than one bit (wrapped), so
+	// ReadUvarint refuses both, at a byte-aligned position and off it.
+	wrapped := append(bytes.Repeat([]byte{0xff}, 9), 0x7f)
+	top := append(bytes.Repeat([]byte{0xff}, 9), 0x01)
+	cases := []struct {
+		name string
+		enc  []byte
+		want error
+	}{
+		{"overlong zero", []byte{0x80, 0x00}, errUvarintOverlong},
+		{"overlong one", []byte{0x81, 0x80, 0x00}, errUvarintOverlong},
+		{"wrapped", wrapped, errUvarintOverflow},
+		{"eleven groups", append(bytes.Repeat([]byte{0xff}, 10), 0x01), errUvarintOverflow},
+	}
+	for _, c := range cases {
+		for _, off := range []int{0, 3} {
+			var w Writer
+			w.WriteBits(0, off)
+			for _, b := range c.enc {
+				w.WriteBits(uint64(b), 8)
+			}
+			r := NewReader(w.Bytes(), w.Len())
+			if _, err := r.ReadBits(off); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := r.ReadUvarint(); err != c.want {
+				t.Errorf("%s at offset %d: got (%d, %v), want %v", c.name, off, v, err, c.want)
+			}
+		}
+	}
+	// The largest canonical value still reads: its tenth group is 1.
+	if v, err := NewReader(top, 8*len(top)).ReadUvarint(); err != nil || v != math.MaxUint64 {
+		t.Fatalf("ff×9 01: got (%d, %v), want MaxUint64", v, err)
+	}
+}
+
 // refWriter is the bit-at-a-time writer the word-window codec must
 // match byte for byte: every fast path in Writer is checked against it
 // by TestCodecMatchesReference and FuzzBitsCodec.
@@ -320,10 +359,19 @@ func (r *refReader) readUvarint() (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v |= grp << shift
 		if !cont {
-			return v, nil
+			// The strict contract: a zero final group after a
+			// continuation is overlong, and a tenth group carries one
+			// bit at most.
+			if grp == 0 && shift > 0 {
+				return 0, errors.New("bits: overlong uvarint")
+			}
+			if shift == 63 && grp > 1 {
+				return 0, errors.New("bits: uvarint overflows uint64")
+			}
+			return v | grp<<shift, nil
 		}
+		v |= grp << shift
 	}
 }
 

@@ -24,6 +24,13 @@ func corpusFrames() [][]byte {
 		}
 		return buf
 	}
+	raw := func(payload ...byte) func(*bits.Writer) {
+		return func(w *bits.Writer) {
+			for _, b := range payload {
+				w.WriteBits(uint64(b), 8)
+			}
+		}
+	}
 	return [][]byte{
 		mk(TypeSchemesRequest, 1, nil),
 		mk(TypeSchemesResponse, 2, sampleSchemes().Encode),
@@ -32,6 +39,11 @@ func corpusFrames() [][]byte {
 		mk(TypeError, 5, func(w *bits.Writer) { EncodeError(w, "boom") }),
 		mk(TypeRouteRequest, 6, (&RouteRequest{}).Encode),
 		mk(TypeRouteResponse, 7, (&RouteResponse{}).Encode),
+		// Non-canonical varints, which the decoders must refuse: an
+		// overlong scheme index (80 00 for 0) before the pairs of the
+		// canonical 00 01 01 02, and a tenth group wider than one bit.
+		mk(TypeRouteRequest, 8, raw(0x80, 0x00, 0x01, 0x01, 0x02)),
+		mk(TypeRouteRequest, 9, raw(append(bytes.Repeat([]byte{0xff}, 9), 0x7f)...)),
 	}
 }
 

@@ -72,8 +72,16 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 //determinlint:hotpath
 func (g *Graph) NeighborWeight(u, v int) (float64, bool) {
 	adj := g.adj[u]
-	//determinlint:allow hotpath the closure does not escape sort.Search and stays on the stack; the server alloc tests pin this path at 0 allocs/op
-	i := sort.Search(len(adj), func(k int) bool { return adj[k].To >= v })
+	// The first position whose neighbor is >= v (sort.Search, inlined).
+	i, j := 0, len(adj)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if adj[h].To < v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	if i < len(adj) && adj[i].To == v {
 		return adj[i].Weight, true
 	}

@@ -260,3 +260,22 @@ func TestFractal(t *testing.T) {
 		t.Fatal("scale=1 accepted")
 	}
 }
+
+func TestNeighborWeightMatchesEdgeWeight(t *testing.T) {
+	// The binary search over a sorted adjacency list answers exactly
+	// what EdgeWeight's linear scan does, for every ordered pair: the
+	// power-law graph mixes hubs (long lists) with degree-1 leaves.
+	g, err := PowerLaw(120, 2, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g.N(); u++ {
+		for v := -1; v <= g.N(); v++ {
+			w, ok := g.NeighborWeight(u, v)
+			rw, rok := g.EdgeWeight(u, v)
+			if ok != rok || w != rw {
+				t.Fatalf("NeighborWeight(%d, %d) = (%v, %v), EdgeWeight (%v, %v)", u, v, w, ok, rw, rok)
+			}
+		}
+	}
+}

@@ -88,3 +88,42 @@ func TestDecodeSimpleRejectsCorruption(t *testing.T) {
 		t.Fatal("duplicate self label accepted")
 	}
 }
+
+func TestRelayStepRefusesLabelOutsideTarget(t *testing.T) {
+	// A header whose target's range does not hold the label cannot be
+	// relayed: the compiled step (binary search by target) and the
+	// decoded step (linear scan by label) both refuse it.
+	f := geoFixture(t, 90, 32)
+	s, err := NewSimple(f.g, f.a, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([][]byte, f.g.N())
+	sizes := make([]int, f.g.N())
+	for v := range tables {
+		tables[v], sizes[v] = s.EncodeTable(v)
+	}
+	d, err := DecodeSimple(f.g, tables, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for w := 0; w < f.g.N(); w++ {
+		for i, ring := range s.rings[w] {
+			if len(ring) < 2 || int(ring[0].x) == w || s.nt.Label(w) == int(ring[1].lo) {
+				continue
+			}
+			h := SimpleHeader{Label: ring[1].lo, Target: ring[0].x, Level: int32(i)}
+			if _, _, _, err := s.Step(w, h); err == nil {
+				t.Fatalf("node %d level %d: relayed label %d toward %d, whose range is [%d, %d]", w, i, h.Label, h.Target, ring[0].lo, ring[0].hi)
+			}
+			if _, _, _, err := d.Step(w, h); err == nil {
+				t.Fatalf("node %d level %d: decoded step relayed label %d toward %d", w, i, h.Label, h.Target)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no relay to check")
+	}
+}

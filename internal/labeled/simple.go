@@ -63,6 +63,26 @@ func findEntry(entries []ringEntry, label int) *ringEntry {
 	return nil
 }
 
+// findTarget returns the entry for net point x, or nil: a ring is in
+// strictly ascending x (the construction sweeps centers in id order,
+// and RestoreSimple refuses any other order), so this is a binary
+// search.
+func findTarget(entries []ringEntry, x int32) *ringEntry {
+	i, j := 0, len(entries)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if entries[h].x < x {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(entries) && entries[i].x == x {
+		return &entries[i]
+	}
+	return nil
+}
+
 // Simple is the non-scale-free (1+O(eps))-stretch labeled scheme.
 type Simple struct {
 	g   *graph.Graph

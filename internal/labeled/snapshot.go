@@ -85,6 +85,9 @@ func RestoreSimple(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Simple,
 		if len(rings) != h.TopLevel()+1 {
 			return nil, fmt.Errorf("labeled: table %d has %d levels, hierarchy has %d", v, len(rings), h.TopLevel()+1)
 		}
+		if err := checkRings(rings, nt, n); err != nil {
+			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
+		}
 		s.rings[v] = rings
 		s.tblBit[v] = nbit
 	}
@@ -140,6 +143,30 @@ func parseSimpleTable(tbl []byte, nbit, idBits, n int) (int32, [][]ringEntry, er
 		return 0, nil, fmt.Errorf("%d trailing bits", r.Remaining())
 	}
 	return int32(self), rings, nil
+}
+
+// checkRings refuses restored rings that break the invariants the
+// relay step's binary search rests on: within a level, net points are
+// strictly ascending, and each entry's range is the netting-tree range
+// Range(x, i) of its net point. Distinct net points of one level have
+// disjoint netting-tree ranges, so the target's entry is then the only
+// entry whose range can hold the label, and findTarget agrees with
+// findEntry.
+func checkRings(rings [][]ringEntry, nt *rnet.NettingTree, n int) error {
+	for i, ring := range rings {
+		for k, e := range ring {
+			if int(e.x) >= n {
+				return fmt.Errorf("level %d entry %d: net point %d out of range", i, k, e.x)
+			}
+			if k > 0 && e.x <= ring[k-1].x {
+				return fmt.Errorf("level %d entry %d: net point %d not above %d", i, k, e.x, ring[k-1].x)
+			}
+			if rg, ok := nt.Range(int(e.x), i); !ok || rg.Lo != int(e.lo) || rg.Hi != int(e.hi) {
+				return fmt.Errorf("level %d entry %d: range [%d, %d] is not the netting-tree range of net point %d", i, k, e.lo, e.hi, e.x)
+			}
+		}
+	}
+	return nil
 }
 
 // EncodeSnapshot serializes the ScaleFree scheme: parameters, the

@@ -55,8 +55,11 @@ func (s *Simple) Step(w int, h SimpleHeader) (next int, nh SimpleHeader, arrived
 		}
 		h.Target, h.Level = e.x, int32(i)
 	}
-	e := findEntry(s.rings[w][h.Level], label)
-	if e == nil || e.x != h.Target {
+	// Ranges within a level are disjoint, so the target's entry is the
+	// only one whose range can hold the label: looking it up by x is
+	// findEntry's answer whenever that answer is the target.
+	e := findTarget(s.rings[w][h.Level], h.Target)
+	if e == nil || label < int(e.lo) || label > int(e.hi) {
 		return 0, h, false, fmt.Errorf("labeled: relay %d lost target %d at level %d", w, h.Target, h.Level)
 	}
 	return int(e.next), h, false, nil

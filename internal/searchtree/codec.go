@@ -84,19 +84,17 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
-// uint reads a uvarint that must be at most max. An overlong encoding
-// is refused too, so every field re-encodes to the bits it came from.
+// uint reads a uvarint that must be at most max. ReadUvarint refuses
+// non-canonical encodings, so every field re-encodes to the bits it
+// came from.
 func (d *decoder) uint(max int, what string) int {
 	if d.err != nil {
 		return 0
 	}
-	before := d.r.Remaining()
 	v, err := d.r.ReadUvarint()
 	switch {
 	case err != nil:
 		d.err = err
-	case before-d.r.Remaining() != bits.UvarintLen(v):
-		d.fail("overlong uvarint for %s", what)
 	case v > uint64(max):
 		d.fail("%s %d exceeds %d", what, v, max)
 	default:

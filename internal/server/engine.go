@@ -6,7 +6,7 @@
 // The package is layered (see DESIGN.md §server architecture):
 //
 //	handlers (HTTP/JSON) --\
-//	                        >--  Engine.route  ->  route cache (direct-mapped slots)
+//	                        >--  Engine.route  ->  route cache (4-way sets)
 //	TCP frames ------------/          |
 //	                          one walker per scheme (internal/schemes):
 //	                          walk.Walk over the scheme's walk.Router
@@ -219,9 +219,9 @@ type Engine struct {
 	cfg Config
 	// entries are cfg.Schemes' registry rows, in compile order.
 	entries []schemes.Entry
-	// cache is the route cache of both planes: direct-mapped value
-	// slots, no allocation on a shape-only hit or miss (nil when
-	// caching is disabled).
+	// cache is the route cache of both planes: 4-way sets of value
+	// slots with frequency-aware admission, no allocation on a
+	// shape-only hit or miss (nil when caching is disabled).
 	cache       *liteCache
 	met         *metrics
 	workers     int
@@ -388,9 +388,9 @@ func (e *Engine) sampleTrace() bool {
 // failed), the walk, and the trace when the query was traced.
 //
 // A shape-only query (no path, no trace, no fault injection) touches
-// only preallocated memory. A query that wants a path hits only a slot
+// only preallocated memory. A query that wants a path hits only a way
 // that holds one; otherwise it walks with the path recorder and refills
-// the slot. Traced queries skip reading the cache but still fill it;
+// the way. Traced queries skip reading the cache but still fill it;
 // fault-injected queries bypass it entirely, since every query draws
 // its own faults.
 //
@@ -465,7 +465,7 @@ func (e *Engine) walk(st *state, idx, src, dst int, wantPath, wantTrace bool) (r
 		e.met.observeTrace(tr)
 	}
 	if cache != nil {
-		// The slot never carries a trace: slots are shared between
+		// The cache never carries a trace: its ways are shared between
 		// responses, and a trace belongs to the query that asked.
 		cache.put(idx, src, dst, st.gen, res, w.path)
 	}
@@ -586,9 +586,9 @@ func (e *Engine) routeBatch(schemeName string, pairs [][2]int, wantPath bool) ([
 // scheme and atomically swaps the serving state. The new state carries
 // a new generation, which invalidates every cached route: cache keys
 // include the generation, so entries computed against the old graph
-// are unreachable and are overwritten as new routes land in their
-// slots. In-flight queries
-// finish against the old state.
+// are unreachable, and a put reclaims a stale way before it considers
+// evicting a current one. In-flight queries finish against the old
+// state.
 func (e *Engine) Reload(seed int64) error {
 	e.reload.Lock()
 	defer e.reload.Unlock()

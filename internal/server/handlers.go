@@ -153,7 +153,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	e.met.batchLatency.Observe(time.Since(start))
 	e.met.batchRoutes.Add(uint64(len(req.Pairs)))
 	if !req.IncludePaths {
-		// A pair answered from a slot filled by a path query carries
+		// A pair answered from a way filled by a path query carries
 		// the path; the response still leaves it out.
 		for i := range results {
 			results[i].Path = nil

@@ -268,13 +268,17 @@ type TCPSnapshot struct {
 	FrameLatency HistogramSnapshot `json:"frame_latency"`
 }
 
-// CacheSnapshot reports the route cache counters.
+// CacheSnapshot reports the route cache counters. Evicted counts puts
+// that overwrote a different key; Declined counts puts the admission
+// policy refused because no way of the set was free, stale or unused
+// since the set last aged; Size is the number of ways holding a route.
 type CacheSnapshot struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Evicted uint64  `json:"evicted"`
-	Size    int     `json:"size"`
-	HitRate float64 `json:"hit_rate"`
+	Hits     uint64  `json:"hits"`
+	Misses   uint64  `json:"misses"`
+	Evicted  uint64  `json:"evicted"`
+	Declined uint64  `json:"declined"`
+	Size     int     `json:"size"`
+	HitRate  float64 `json:"hit_rate"`
 }
 
 func newMetrics(schemes []string) *metrics {
@@ -328,10 +332,10 @@ func (m *metrics) observeTrace(t *trace.Trace) {
 }
 
 func (m *metrics) snapshot(c *liteCache) MetricsSnapshot {
-	hits, misses, evicted, size := c.stats()
-	cs := CacheSnapshot{Hits: hits, Misses: misses, Evicted: evicted, Size: size}
-	if total := hits + misses; total > 0 {
-		cs.HitRate = float64(hits) / float64(total)
+	st := c.stats()
+	cs := CacheSnapshot{Hits: st.hits, Misses: st.misses, Evicted: st.evicted, Declined: st.declined, Size: st.size}
+	if total := st.hits + st.misses; total > 0 {
+		cs.HitRate = float64(st.hits) / float64(total)
 	}
 	tm := TraceMetricsSnapshot{
 		Sampled:    m.tracesSampled.Load(),

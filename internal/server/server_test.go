@@ -442,20 +442,27 @@ func TestCacheGetPutSameKeyRace(t *testing.T) {
 
 func TestSmallCacheCapacityBound(t *testing.T) {
 	// Any capacity bounds the resident entries (the slot count rounds
-	// down to a power of two), and every put of a new key into a full
-	// slot counts as an eviction.
+	// down to a power of two), and every put of a new key either fills
+	// an empty way, evicts a full one or is declined by the admission
+	// policy. A hit right after each put keeps that way in use, so the
+	// policy declines some puts.
 	for _, capEntries := range []int{1, 2, 3, 5, 15} {
 		c := newLiteCache(capEntries)
 		puts := 20 * capEntries
 		for i := 0; i < puts; i++ {
 			c.put(0, i, i+1, 0, frame.RouteResult{Hops: int32(i)}, nil)
+			c.get(0, i, i+1, 0, false)
 		}
-		_, _, evicted, size := c.stats()
-		if size > capEntries {
-			t.Errorf("capacity %d: cache holds %d entries", capEntries, size)
+		st := c.stats()
+		if st.size > capEntries {
+			t.Errorf("capacity %d: cache holds %d entries", capEntries, st.size)
 		}
-		if int(evicted)+size != puts {
-			t.Errorf("capacity %d: %d evictions + %d resident, want %d puts", capEntries, evicted, size, puts)
+		if int(st.evicted+st.declined)+st.size != puts {
+			t.Errorf("capacity %d: %d evictions + %d declined + %d resident, want %d puts",
+				capEntries, st.evicted, st.declined, st.size, puts)
+		}
+		if st.declined == 0 {
+			t.Errorf("capacity %d: no put declined", capEntries)
 		}
 	}
 }
