@@ -233,23 +233,22 @@ func run(addr, tcpAddr, snapPath, kind string, n int, seed int64, eps float64, s
 		log.Printf("routed: %v, draining", s)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
+		// Drain in-flight TCP frames first: handlers finish the frames
+		// that arrive within the drain grace, then exit; the deadline
+		// force-closes stragglers. The HTTP server drains either way.
+		var tcpErr error
 		if tcp != nil {
-			// Drain in-flight TCP frames first: handlers finish the frame
-			// they are serving, then exit; the deadline force-closes
-			// stragglers.
-			if err := tcp.Shutdown(ctx); err != nil {
-				return err
-			}
-			if err := <-tcpErrc; !errors.Is(err, server.ErrTCPServerClosed) {
-				return err
+			tcpErr = tcp.Shutdown(ctx)
+			if err := <-tcpErrc; tcpErr == nil && !errors.Is(err, server.ErrTCPServerClosed) {
+				tcpErr = err
 			}
 		}
 		if err := srv.Shutdown(ctx); err != nil {
-			return err
+			return errors.Join(tcpErr, err)
 		}
 		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
+			return errors.Join(tcpErr, err)
 		}
-		return nil
+		return tcpErr
 	}
 }

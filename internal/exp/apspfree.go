@@ -50,6 +50,14 @@ type APSPFreeRecord struct {
 	MaxHeaderBits  int          `json:"max_header_bits"`
 	TableMaxBits   int          `json:"table_max_bits"`
 	TableMeanBits  float64      `json:"table_mean_bits"`
+	// RingFactor is the ring radius multiplier the labeled rows were
+	// built with; 0 on the TZ rows, which have no rings.
+	RingFactor float64 `json:"ring_factor"`
+	// BoundEnforced reports whether the sweep asserted the scheme's
+	// stretch bound (StretchBound) on this row's routes. It does at ring
+	// factors >= 2; below 2 the analysed bound is weak or infinite, so
+	// the row measures stretch without a guarantee.
+	BoundEnforced bool `json:"bound_enforced"`
 	// CachedEntries is the lazy backend's resident row-cache size
 	// (settled entries, ~35 bytes each) after build+sweep — the number
 	// that replaces n² in the memory story. Zero on dense rows. It is a
@@ -75,7 +83,10 @@ type APSPFreeOpts struct {
 	// RingFactor scales ring radii (labeled.NewSimpleRingFactor).
 	// Power-law metrics are far from doubling, so the default factor 2
 	// would put whole-graph balls around every mid-level center; <= 0
-	// selects 1, which keeps tables bounded at Internet scale.
+	// selects 1, which keeps tables bounded at Internet scale but
+	// weakens the stretch bound to none at eps 0.5. Every record says
+	// which factor it ran at, and the stretch bound is asserted only
+	// at factors >= 2.
 	RingFactor float64
 	// MaxW is the log-uniform edge-weight ceiling for graph.PowerLaw.
 	// Spread weights pull the distance scales apart (the hierarchy gets
@@ -145,6 +156,7 @@ func APSPFree(opt APSPFreeOpts) ([]APSPFreeRecord, error) {
 	if err != nil {
 		return nil, err
 	}
+	enforced := opt.RingFactor >= 2
 	var records []APSPFreeRecord
 	for _, n := range opt.Sizes {
 		g, err := graph.PowerLaw(n, 2, opt.MaxW, opt.Seed)
@@ -165,7 +177,16 @@ func APSPFree(opt APSPFreeOpts) ([]APSPFreeRecord, error) {
 			if err != nil {
 				return core.StretchStats{}, core.TableStats{}, 0, err
 			}
+			if enforced && st.Max > s.StretchBound() {
+				return core.StretchStats{}, core.TableStats{}, 0, fmt.Errorf("stretch max %v exceeds the bound %v at ring factor %v",
+					st.Max, s.StretchBound(), opt.RingFactor)
+			}
 			return st, core.Tables(s.TableBits, g.N()), buildMS, nil
+		}
+		labeledRecord := func(backend string, st core.StretchStats, tb core.TableStats) APSPFreeRecord {
+			rec := apspFreeRecord("simple-labeled", backend, name, g, eps, st, tb)
+			rec.RingFactor, rec.BoundEnforced = opt.RingFactor, enforced
+			return rec
 		}
 
 		lazy := metric.NewLazyOracle(g)
@@ -173,7 +194,7 @@ func APSPFree(opt APSPFreeOpts) ([]APSPFreeRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("apspfree n=%d lazy: %w", n, err)
 		}
-		rec := apspFreeRecord("simple-labeled", "lazy", name, g, eps, st, tb)
+		rec := labeledRecord("lazy", st, tb)
 		rec.CachedEntries = lazy.CachedEntries()
 		if opt.Timing {
 			rec.BuildMS = buildMS
@@ -188,7 +209,7 @@ func APSPFree(opt APSPFreeOpts) ([]APSPFreeRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("apspfree n=%d dense: %w", n, err)
 		}
-		drec := apspFreeRecord("simple-labeled", "dense", name, g, eps, dst, dtb)
+		drec := labeledRecord("dense", dst, dtb)
 		if opt.Timing {
 			drec.BuildMS = dBuildMS
 		}

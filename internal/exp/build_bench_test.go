@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"compactrouting/internal/labeled"
+	"compactrouting/internal/metric"
 	"compactrouting/internal/nameind"
 )
 
@@ -63,6 +64,30 @@ func BenchmarkBuildNameInd(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// The lazy backend on power-law n=320, where a level's search
+	// trees overflow the default row cache. The oracle is fresh per
+	// iteration, so all of its row work is inside the build.
+	b.Run("lazy-power-law/n=320", func(b *testing.B) {
+		env, err := NewEnv("power-law", 320, 1, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var st metric.LazyStats
+		for i := 0; i < b.N; i++ {
+			o := metric.NewLazyOracle(env.G)
+			lazy := &Env{Name: env.Name, G: env.G, A: o}
+			if _, _, err := build[*nameind.Simple](lazy, "name-independent", 0.25, 7); err != nil {
+				b.Fatal(err)
+			}
+			s := o.Stats()
+			st.RowsBuilt += s.RowsBuilt
+			st.Settled += s.Settled
+		}
+		b.ReportMetric(float64(st.RowsBuilt)/float64(b.N), "rows/op")
+		b.ReportMetric(float64(st.Settled)/float64(b.N), "settled/op")
 	})
 }
 

@@ -297,6 +297,18 @@ func (s *ScaleFree) accountStorage() {
 // SchemeName implements core.LabeledScheme.
 func (s *ScaleFree) SchemeName() string { return "labeled/scale-free" }
 
+// SearchTrees returns the Search Tree II of every cell, level by level
+// in ball order (for tests and experiments).
+func (s *ScaleFree) SearchTrees() []*searchtree.Tree[treeroute.PortLabel] {
+	var out []*searchtree.Tree[treeroute.PortLabel]
+	for _, level := range s.cells {
+		for _, cl := range level {
+			out = append(out, cl.st)
+		}
+	}
+	return out
+}
+
 // LabelOf returns v's ceil(log n)-bit label.
 func (s *ScaleFree) LabelOf(v int) int { return s.nt.Label(v) }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -199,7 +200,15 @@ func (m *Module) Load(path string) (*Package, error) {
 		}
 		if strings.HasSuffix(n, "_test.go") {
 			testNames = append(testNames, n)
-		} else {
+			continue
+		}
+		// Type-check the files a plain `go build` compiles: a
+		// //go:build pair such as race/!race declares each name twice.
+		match, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if match {
 			names = append(names, n)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"compactrouting/internal/racetest"
 )
 
 // refSortByDist is the comparison sort sortByDist replaced: nodes by
@@ -103,7 +105,7 @@ func TestRestoreAPSPMatchesBuildAtScale(t *testing.T) {
 		t.Skip("n=2048 APSP build skipped in -short mode")
 	}
 	n := 2048
-	if raceEnabled {
+	if racetest.Enabled {
 		n = 512
 	}
 	built := NewAPSP(benchGraph(t, "geometric", n))

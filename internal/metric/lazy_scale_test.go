@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"compactrouting/internal/graph"
+	"compactrouting/internal/racetest"
 )
 
 // TestLazyNoQuadraticAllocation is the APSP-wall regression test: a
@@ -20,7 +21,7 @@ import (
 // so the instrumented run stays in budget.
 func TestLazyNoQuadraticAllocation(t *testing.T) {
 	n, ceiling := 100_000, uint64(1<<30)
-	if raceEnabled {
+	if racetest.Enabled {
 		n, ceiling = 20_000, 256<<20
 	}
 	g, err := graph.PowerLaw(n, 2, 1024, 9)

@@ -209,6 +209,24 @@ func (s *ScaleFree) findH(y int, outer, inner float64) (j, idx int, found bool) 
 // SchemeName implements core.NameIndependentScheme.
 func (s *ScaleFree) SchemeName() string { return "nameind/scale-free" }
 
+// SearchTrees returns every search tree of the scheme: the packing
+// balls' trees, then the zooming balls' own trees (for tests and
+// experiments).
+func (s *ScaleFree) SearchTrees() []*searchtree.Tree[int] {
+	var out []*searchtree.Tree[int]
+	for _, level := range s.ballTrees {
+		out = append(out, level...)
+	}
+	for _, level := range s.ownTrees {
+		for _, t := range level {
+			if t != nil {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
 // OwnTreeCount returns how many zooming balls kept their own search
 // tree (the family 𝒜).
 func (s *ScaleFree) OwnTreeCount() int { return s.ownCount }

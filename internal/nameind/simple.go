@@ -68,6 +68,16 @@ func NewSimple(g *graph.Graph, a metric.Distancer, nm *Naming, under Underlying,
 // SchemeName implements core.NameIndependentScheme.
 func (s *Simple) SchemeName() string { return "nameind/simple" }
 
+// SearchTrees returns every search tree of the scheme, level by level
+// in net order (for tests and experiments).
+func (s *Simple) SearchTrees() []*searchtree.Tree[int] {
+	var out []*searchtree.Tree[int]
+	for _, level := range s.trees {
+		out = append(out, level...)
+	}
+	return out
+}
+
 // StretchBound returns the analytical worst-case stretch guarantee:
 // Lemma 3.4's 1 + 8(1/eps+1)/(1/eps-2), inflated by the underlying
 // labeled scheme's stretch on every physical leg.

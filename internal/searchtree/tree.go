@@ -97,17 +97,26 @@ type scratch struct {
 	keys                        []int64
 	ids                         []int32
 	kid                         []node
+	// near and cand hold one ball around a candidate and its members
+	// one level up.
+	near, cand []int
 	// at[v] is 1 + the position of node v in the tree at hand, 0 for
-	// other nodes (see index).
+	// other nodes (see index). During New's level loop it is 1 + the
+	// net level v joined instead, 0 for nodes that have not joined.
 	at []int32
+}
+
+// size makes sc.at cover node ids below n.
+func (sc *scratch) size(n int) {
+	if len(sc.at) < n {
+		sc.at = make([]int32, n)
+	}
 }
 
 // index makes sc.at map the ids in members, each below n, to 1 + their
 // positions; unindex zeroes those entries again for the next tree.
 func (sc *scratch) index(members []int32, n int) {
-	if len(sc.at) < n {
-		sc.at = make([]int32, n)
-	}
+	sc.size(n)
 	for p, v := range members {
 		sc.at[v] = int32(p + 1)
 	}
@@ -135,6 +144,19 @@ func getScratch() *scratch {
 	}
 }
 
+// nearestMarked returns Dist(v, y) for the nearest node y of B_v(r)
+// with at[y] == mark, or +Inf when there is none. The ball comes in
+// (distance, id) order, so the first marked node is the nearest.
+func (sc *scratch) nearestMarked(a metric.Distancer, v int, r float64, mark int32) float64 {
+	sc.near = a.AppendBall(sc.near[:0], v, r)
+	for _, y := range sc.near {
+		if sc.at[y] == mark {
+			return a.Dist(v, y)
+		}
+	}
+	return math.Inf(1)
+}
+
 func putScratch(sc *scratch) {
 	select {
 	case spare <- sc:
@@ -149,6 +171,11 @@ func grow[T any](s []T, n int) []T {
 	}
 	return s[:0]
 }
+
+// parentSlack widens the ball New searches for a parent by this
+// relative amount, which covers the rounding gap between Dist(v, y)
+// and Dist(y, v) (DESIGN §Search-tree layout).
+const parentSlack = 1e-9
 
 // New builds the search tree on B_center(radius). The APSP oracle is
 // used only at construction time (the preprocessing phase).
@@ -173,6 +200,8 @@ func New[D any](a metric.Distancer, center int, radius float64, cfg Config) (*Tr
 	// level sliced from it stays valid while the next one is appended.
 	order, up, w := grow(sc.order, m), grow(sc.up, m), grow(sc.w, m)
 	order, up, w = append(order, center), append(up, -1), append(w, 0)
+	sc.size(a.N())
+	sc.at[center] = 1
 	levelOff := append(sc.levelOff[:0], 0, 1)
 	rest := grow(sc.rest, m)
 	for _, v := range ball {
@@ -212,21 +241,18 @@ func New[D any](a metric.Distancer, center int, radius float64, cfg Config) (*Tr
 		}
 		// Greedy net of the remaining nodes at radius rho (everything
 		// joins once rho is at or below the minimum pairwise distance).
+		// The net test reads only B_v(rho): v is covered when the
+		// nearest node of it marked as joining this level lies below rho.
+		mark := int32(level + 1)
 		if rho <= cfg.MinNetRadius {
 			order = append(order, rest...)
 			rest = rest[:0]
 		} else {
 			k := 0
 			for _, v := range rest {
-				ok := true
-				for _, y := range order[start:] {
-					if a.Dist(v, y) < rho {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if sc.nearestMarked(a, v, rho, mark) >= rho {
 					order = append(order, v)
+					sc.at[v] = mark
 				} else {
 					rest[k] = v
 					k++
@@ -234,8 +260,31 @@ func New[D any](a metric.Distancer, center int, radius float64, cfg Config) (*Tr
 			}
 			rest = rest[:k]
 		}
+		// Parents: level 1 hangs off the center. Below it, v was covered
+		// at the level above by a node within 2*rho, so the nearest node
+		// of prev lies within 2*rho too, up to the rounding slack (DESIGN
+		// §Search-tree layout), and Nearest needs only prev's members
+		// in that ball.
 		for _, v := range order[start:] {
-			p, d := a.Nearest(v, prev)
+			cand := prev
+			if level > 1 {
+				sc.near = a.AppendBall(sc.near[:0], v, 2*rho*(1+parentSlack))
+				cand = sc.cand[:0]
+				for _, y := range sc.near {
+					if sc.at[y] == mark-1 {
+						cand = append(cand, y)
+					}
+				}
+				sc.cand = cand
+			}
+			p, d := a.Nearest(v, cand)
+			if p < 0 {
+				for _, u := range ball {
+					sc.at[u] = 0 // leave the scratch clean for the next tree
+				}
+				return nil, fmt.Errorf("searchtree: tree at %d radius %v: level-%d node %d has no level-%d node within %v",
+					center, radius, level, v, level-1, 2*rho)
+			}
 			up, w = append(up, p), append(w, d)
 		}
 		levelOff = append(levelOff, len(order))

@@ -24,6 +24,13 @@ const (
 	// re-check the draining flag on timeout. bufio keeps partially read
 	// bytes across the timeout, so no frame prefix is ever lost.
 	drainPollInterval = 500 * time.Millisecond
+	// drainGrace is how long a handler keeps serving once it sees the
+	// draining flag. Frames whose bytes arrive within it are read and
+	// served; closing over them instead would reset the connection under
+	// the client. The grace runs from the handler's first look at the
+	// flag and is never extended, so a client that keeps sending cannot
+	// hold the drain open.
+	drainGrace = 50 * time.Millisecond
 	// frameIOTimeout bounds reading the remainder of a frame whose header
 	// has arrived, and writing a response.
 	frameIOTimeout = 30 * time.Second
@@ -65,8 +72,11 @@ func (s *TCPServer) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.track(c)
-		s.wg.Add(1)
+		if !s.track(c) {
+			c.Close() // accepted after Shutdown began
+			continue
+		}
+		// joined by s.wg in Shutdown: track counted the handler.
 		go s.handleConn(c)
 	}
 }
@@ -83,11 +93,19 @@ func (s *TCPServer) bind(ln net.Listener) bool {
 	return true
 }
 
-// track registers a live connection; untrack removes it.
-func (s *TCPServer) track(c net.Conn) {
+// track registers a live connection and counts its handler in wg,
+// refusing once the server is draining; untrack removes it. track runs
+// under mu, as beginDrain does, so every handler Shutdown waits for was
+// counted before the wait began.
+func (s *TCPServer) track(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
 	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	return true
 }
 
 func (s *TCPServer) untrack(c net.Conn) {
@@ -96,10 +114,12 @@ func (s *TCPServer) untrack(c net.Conn) {
 	delete(s.conns, c)
 }
 
-// closeListener closes the bound listener, if Serve got that far.
-func (s *TCPServer) closeListener() {
+// beginDrain marks the server draining and closes the bound listener,
+// if Serve got that far.
+func (s *TCPServer) beginDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.draining.Store(true)
 	if s.ln != nil {
 		s.ln.Close()
 	}
@@ -115,14 +135,14 @@ func (s *TCPServer) closeConns() {
 }
 
 // Shutdown drains the server: the listener closes immediately, handlers
-// finish the frame they are serving (they observe the draining flag
-// between frames, within drainPollInterval), and Shutdown returns when
-// every handler has exited. If ctx expires first, remaining connections
-// are force-closed and their handlers reaped before returning ctx's
-// error.
+// finish the frame they are serving and every frame whose bytes arrive
+// within drainGrace of their first look at the draining flag (they
+// observe it between frames, within drainPollInterval), and Shutdown
+// returns when every handler has exited. If ctx expires first,
+// remaining connections are force-closed and their handlers reaped
+// before returning ctx's error.
 func (s *TCPServer) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.closeListener()
+	s.beginDrain()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -160,15 +180,27 @@ func (s *TCPServer) handleConn(c net.Conn) {
 		out     []byte
 	)
 
+	// drainBy is fixed when the handler first sees the draining flag: a
+	// client that keeps sending gets its frames served until then, and
+	// no longer, so a drain ends within drainPollInterval + drainGrace
+	// plus serving what the read buffer already holds.
+	var drainBy time.Time
 	for {
-		if s.draining.Load() {
-			return
+		if drainBy.IsZero() && s.draining.Load() {
+			drainBy = time.Now().Add(drainGrace)
 		}
-		c.SetReadDeadline(time.Now().Add(drainPollInterval))
+		if drainBy.IsZero() {
+			c.SetReadDeadline(time.Now().Add(drainPollInterval))
+		} else {
+			c.SetReadDeadline(drainBy)
+		}
 		hdr, err := br.Peek(frame.HeaderSize)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
+				if !drainBy.IsZero() {
+					return // the drain's grace is over
+				}
 				continue // re-check draining; buffered bytes are preserved
 			}
 			if errors.Is(err, io.EOF) && br.Buffered() == 0 {

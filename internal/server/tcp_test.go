@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -249,6 +251,176 @@ func TestTCPShutdownDrains(t *testing.T) {
 		c.Close()
 		t.Fatal("listener still accepting after Shutdown")
 	}
+}
+
+// TestTCPShutdownBoundedUnderLoad pins the drain's time bound: clients
+// that send their next frame as soon as they read a response (closed
+// loop, as routeload does) keep a frame arriving throughout the drain,
+// and Shutdown must still return nil within drainPollInterval +
+// drainGrace plus a few frames, far before its context expires.
+func TestTCPShutdownBoundedUnderLoad(t *testing.T) {
+	eng := tcpTestEngine(t, 1<<10)
+	addr, srv, errc := startTCP(t, eng)
+	var w bits.Writer
+	req := frame.RouteRequest{Scheme: 0, Pairs: []frame.Pair{{Src: 0, Dst: 24}, {Src: 3, Dst: 17}}}
+	req.Encode(&w)
+	route, err := frame.AppendFrame(nil, frame.TypeRouteRequest, 1, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, warm = 2, 20
+	served := make(chan int, clients)
+	warmed := make(chan struct{}, clients)
+	for i := 0; i < clients; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(20 * time.Second))
+		go func() {
+			var hdr [frame.HeaderSize]byte
+			var payload []byte
+			k := 0
+			for {
+				if _, err := c.Write(route); err != nil {
+					break
+				}
+				if _, err := io.ReadFull(c, hdr[:]); err != nil {
+					break
+				}
+				h, err := frame.ParseHeader(hdr[:])
+				if err != nil {
+					break
+				}
+				if int(h.PayloadLen) > cap(payload) {
+					payload = make([]byte, h.PayloadLen)
+				}
+				if _, err := io.ReadFull(c, payload[:h.PayloadLen]); err != nil {
+					break
+				}
+				if k++; k == warm {
+					warmed <- struct{}{}
+				}
+			}
+			if k < warm {
+				warmed <- struct{}{}
+			}
+			served <- k
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		<-warmed
+	}
+	const limit = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 4*limit)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown under a closed-loop load: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > limit {
+		t.Fatalf("Shutdown took %v under a closed-loop load, want under %v", took, limit)
+	}
+	for i := 0; i < clients; i++ {
+		if k := <-served; k < warm {
+			t.Errorf("a client stopped after %d round trips, before Shutdown began", k)
+		}
+	}
+	if err := <-errc; !errors.Is(err, ErrTCPServerClosed) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// TestTCPShutdownServesArrivedFrame pins the drain contract against
+// the race TestTCPShutdownDrains meets only by chance: a frame written
+// just before Shutdown has arrived at the server, so it must be
+// answered whether Shutdown lands before or after the handler's first
+// draining check. Closing over the unread frame would reset the
+// connection instead. Each round runs its own server on one engine,
+// and the rounds run on parallel workers because a drain can take up to
+// drainPollInterval plus drainGrace.
+func TestTCPShutdownServesArrivedFrame(t *testing.T) {
+	eng := tcpTestEngine(t, 1<<10)
+	const workers, rounds = 20, 10
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < rounds; i++ {
+				if err := shutdownRound(eng); err != nil {
+					errc <- fmt.Errorf("round %d: %w", i, err)
+					return
+				}
+			}
+			errc <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// shutdownRound accepts one connection and, as soon as the server
+// tracks it (its handler may not have run yet), writes a route frame,
+// shuts the server down and reads the route response.
+func shutdownRound(eng *Engine) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	srv := NewTCPServer(eng)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		srv.Shutdown(context.Background())
+		return err
+	}
+	defer c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	c.SetDeadline(deadline)
+	var w bits.Writer
+	req := frame.RouteRequest{Scheme: 0, Pairs: []frame.Pair{{Src: 0, Dst: 24}}}
+	req.Encode(&w)
+	route, err := frame.AppendFrame(nil, frame.TypeRouteRequest, 2, w.Bytes())
+	if err != nil {
+		return err
+	}
+	for !srv.tracking() && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if _, err := c.Write(route); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		return fmt.Errorf("Shutdown: %w", err)
+	}
+	var hdr [frame.HeaderSize]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		return fmt.Errorf("reading the route response: %w", err)
+	}
+	h, err := frame.ParseHeader(hdr[:])
+	if err != nil {
+		return fmt.Errorf("reading the route response: %w", err)
+	}
+	if h.Type != frame.TypeRouteResponse || h.RequestID != 2 {
+		return fmt.Errorf("drained response header %+v", h)
+	}
+	if err := <-served; !errors.Is(err, ErrTCPServerClosed) {
+		return fmt.Errorf("Serve returned %v", err)
+	}
+	return nil
+}
+
+// tracking reports whether the server has accepted a connection.
+func (s *TCPServer) tracking() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns) > 0
 }
 
 // TestSnapshotColdStartNoConstructors pins the load-and-serve
