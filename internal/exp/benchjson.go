@@ -62,10 +62,11 @@ type BenchOpts struct {
 	// a prebuilt APSP, so only the caller saw that phase's clock).
 	ApspMS float64
 	// Trace routes the sweep through the schemes' traced walkers
-	// (walk.RouteOnceTraced) instead of the sequential evaluators and
-	// adds the per-phase detour decomposition to every record. The two
-	// paths execute identical step functions, so every other field is
-	// unchanged — and with Timing off the traced JSON stays a pure
+	// (walk.RouteOnceTraced) instead of RouteToLabel/RouteToName and
+	// adds the per-phase detour decomposition to every record. Both
+	// walk the same step functions, so every other field is unchanged
+	// (TestBenchTraceAgrees; full-table's header is the one documented
+	// exception) — and with Timing off the traced JSON stays a pure
 	// function of (env, opts), which the `make check` traced double-run
 	// byte-diffs.
 	Trace bool
@@ -107,8 +108,8 @@ type PhaseDecomp struct {
 // otherwise).
 type benchEval func() (core.StretchStats, []PhaseDecomp, error)
 
-// sequentialEval routes every pair through the scheme's own sequential
-// evaluator (RouteToLabel or RouteToName).
+// sequentialEval routes every pair through the scheme's RouteToLabel or
+// RouteToName.
 func sequentialEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
 	return func() (core.StretchStats, []PhaseDecomp, error) {
 		st, err := core.Evaluate(inst.Route, e.A, pairs)
@@ -118,8 +119,8 @@ func sequentialEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
 
 // tracedEval routes every pair through the scheme's walker with tracing
 // enabled and folds the hop records into the per-phase decomposition.
-// The walker drives the same step functions as the sequential
-// evaluators, so the walks — and hence every stretch field — are
+// The walker drives the same step functions as RouteToLabel and
+// RouteToName, so the walks — and hence every stretch field — are
 // identical; Fallbacks counts routes with at least one fallback-phase
 // hop.
 func tracedEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
@@ -170,7 +171,7 @@ func tracedEval(e *Env, inst *schemes.Instance, pairs [][2]int) benchEval {
 // through it, returning one record per scheme in registry order with
 // stretch percentiles and (when opt.Timing) per-phase wall clocks. With
 // opt.Trace the pairs run through the scheme's walker with tracing on
-// (tracedEval); otherwise through its sequential evaluator. The scheme
+// (tracedEval); otherwise through RouteToLabel/RouteToName. The scheme
 // cells run in parallel; record order and every non-timing field are
 // identical to a serial run (asserted by the `make check` double-run
 // diff).

@@ -72,7 +72,8 @@ type DecodedSimple struct {
 }
 
 // DecodeSimple parses the tables produced by EncodeTable for all n
-// nodes (tables[v] with sizes[v] valid bits).
+// nodes (tables[v] with sizes[v] valid bits) with the snapshot
+// restore's parser, and refuses two tables claiming one label.
 func DecodeSimple(g *graph.Graph, tables [][]byte, sizes []int) (*DecodedSimple, error) {
 	n := g.N()
 	if len(tables) != n || len(sizes) != n {
@@ -86,48 +87,15 @@ func DecodeSimple(g *graph.Graph, tables [][]byte, sizes []int) (*DecodedSimple,
 	}
 	labelSeen := make([]bool, n)
 	for v := 0; v < n; v++ {
-		r := bits.NewReader(tables[v], sizes[v])
-		levels, err := r.ReadUvarint()
+		self, rings, err := parseSimpleTable(tables[v], sizes[v], d.idBits, n)
 		if err != nil {
 			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
 		}
-		self, err := r.ReadBits(d.idBits)
-		if err != nil {
-			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
-		}
-		d.selfLabel[v] = int32(self)
-		if self >= uint64(n) || labelSeen[self] {
-			return nil, fmt.Errorf("labeled: table %d: label %d invalid or duplicated", v, self)
+		if labelSeen[self] {
+			return nil, fmt.Errorf("labeled: table %d: label %d duplicated", v, self)
 		}
 		labelSeen[self] = true
-		d.rings[v] = make([][]ringEntry, levels)
-		for l := range d.rings[v] {
-			count, err := r.ReadUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("labeled: table %d level %d: %w", v, l, err)
-			}
-			ring := make([]ringEntry, count)
-			for k := range ring {
-				var e ringEntry
-				for _, dst := range []*int32{&e.x, &e.lo, &e.hi, &e.next} {
-					f, err := r.ReadBits(d.idBits)
-					if err != nil {
-						return nil, fmt.Errorf("labeled: table %d level %d entry %d: %w", v, l, k, err)
-					}
-					*dst = int32(f)
-				}
-				far, err := r.ReadBit()
-				if err != nil {
-					return nil, fmt.Errorf("labeled: table %d level %d entry %d: %w", v, l, k, err)
-				}
-				e.far = far
-				ring[k] = e
-			}
-			d.rings[v][l] = ring
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("labeled: table %d has %d trailing bits", v, r.Remaining())
-		}
+		d.selfLabel[v], d.rings[v] = self, rings
 	}
 	return d, nil
 }

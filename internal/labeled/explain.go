@@ -1,8 +1,9 @@
 package labeled
 
 import (
-	"compactrouting/internal/core"
 	"fmt"
+
+	"compactrouting/internal/walk"
 )
 
 // Phase5Trace decomposes one Algorithm 5 delivery into the legs of
@@ -43,9 +44,12 @@ func (p *Phase5Trace) Stretch() float64 {
 }
 
 // Explain routes from src to the node labeled label like RouteToLabel,
-// recording the Figure 2 anatomy. It fails on routes that would need
-// the safety-net fallback (none arise within the scheme's parameter
-// range).
+// recording the Figure 2 anatomy. It is an observer of the one Step
+// walk: each hop is booked to the leg its header's phase names, a leg's
+// cost is a difference of the walk's running cost, and the stopping
+// state at u_t is read from u_t's own table and the header's J. It
+// fails on routes that took the safety-net fallback (none arise within
+// the scheme's parameter range).
 func (s *ScaleFree) Explain(src, label int) (*Phase5Trace, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("labeled: source %d out of range", src)
@@ -53,112 +57,100 @@ func (s *ScaleFree) Explain(src, label int) (*Phase5Trace, error) {
 	if label < 0 || label >= s.g.N() {
 		return nil, fmt.Errorf("labeled: label %d out of range", label)
 	}
-	dst := s.nt.NodeOfLabel(label)
-	rec := &Phase5Trace{Src: src, Dst: dst}
-	tr := core.NewTrace(s.g, src)
-	prev := s.h.TopLevel() + 1
-	maxSteps := 4 * s.g.N() * (s.h.TopLevel() + 2)
-	for step := 0; ; step++ {
-		if step > maxSteps {
-			return nil, fmt.Errorf("labeled: no progress routing to label %d", label)
-		}
-		u := tr.At()
-		if s.nt.Label(u) == label {
-			rec.Direct = true
-			break
-		}
-		lv, e, found := s.minimalHitR(u, label)
-		direct := found && lv.i == 0
-		if found && lv.i <= prev && (e.far || direct) && int(e.x) != u {
-			prev = lv.i
-			if err := tr.Hop(int(e.next)); err != nil {
-				return nil, err
-			}
-			rec.PhaseAHops++
-			continue
-		}
-		if !found {
-			return nil, fmt.Errorf("labeled: explain: no ring hit at %d (outside analyzed range)", u)
-		}
-		rec.PhaseACost = tr.Cost()
-		rec.IT, rec.J, rec.UT = lv.i, lv.j, u
-		cl := s.cells[lv.j][s.ownerBall[lv.j][u]]
-		rec.Center = cl.center
-		rec.CenterDist = s.a.Dist(u, cl.center)
-		rec.BallRadius = s.pk.Balls[lv.j][s.ownerBall[lv.j][u]].Radius
-		rec.RUj = s.a.RadiusOfSize(u, s.pk.Size(lv.j))
-		rec.RUj1 = s.a.RadiusOfSize(u, s.pk.Size(lv.j+1))
-		rec.DistUTtoDst = s.a.Dist(u, dst)
-		rec.Claim46Holds = rec.RUj/(3*s.eps) < rec.DistUTtoDst &&
-			(lv.j == s.pk.MaxJ() || rec.DistUTtoDst < rec.RUj1/5)
-		// Route to the center.
-		path, err := cl.tree.Route(u, cl.tree.Label(cl.center))
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.Walk(path); err != nil {
-			return nil, err
-		}
-		rec.CenterCost = tr.Cost() - rec.PhaseACost
-		// Search.
-		before := tr.Cost()
-		data, fnd, trail := cl.st.Search(label)
-		for k := 0; k+1 < len(trail); k++ {
-			phys, err := cl.rz.Walk(trail[k], trail[k+1])
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.Walk(phys); err != nil {
-				return nil, err
-			}
-		}
-		for k := len(trail) - 1; k > 0; k-- {
-			phys, err := cl.rz.Walk(trail[k], trail[k-1])
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.Walk(phys); err != nil {
-				return nil, err
-			}
-		}
-		rec.SearchCost = tr.Cost() - before
-		if !fnd {
-			return nil, fmt.Errorf("labeled: explain: search failed at (j=%d, c=%d) — outside analyzed range", lv.j, cl.center)
-		}
-		before = tr.Cost()
-		path, err = cl.tree.Route(cl.center, data)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.Walk(path); err != nil {
-			return nil, err
-		}
-		rec.FinalCost = tr.Cost() - before
-		break
+	obs := &phase5Observer{ut: -1}
+	lr := walk.Walk[SFHeader](s.g, s, src, label, s.maxHops(), obs)
+	if lr.Err != nil {
+		return nil, lr.Err
 	}
-	if tr.At() != dst {
-		return nil, fmt.Errorf("labeled: explain ended at %d, want %d", tr.At(), dst)
+	if obs.fell {
+		return nil, fmt.Errorf("labeled: explain: route %d -> label %d took the fallback (outside analyzed range)", src, label)
 	}
-	if rec.Direct {
-		rec.PhaseACost = tr.Cost()
+	dst := lr.Dst
+	rec := &Phase5Trace{Src: src, Dst: dst, PhaseAHops: obs.phaseAHops, TotalCost: lr.Cost, Optimal: s.a.Dist(src, dst)}
+	if obs.ut < 0 {
+		// Phase A delivered: the walk arrived at a node holding the label.
+		rec.Direct = true
+		rec.PhaseACost = lr.Cost
+		return rec, nil
 	}
-	rec.TotalCost = tr.Cost()
-	rec.Optimal = s.a.Dist(src, dst)
+	u, j := obs.ut, int(obs.j)
+	// u_t's ring holds the label: a miss would have taken the fallback.
+	lv, _, _ := s.minimalHitR(u, label)
+	rec.PhaseACost = obs.phaseBFrom
+	rec.IT, rec.J, rec.UT = lv.i, j, u
+	ball := s.ownerBall[j][u]
+	rec.Center = s.cells[j][ball].center
+	rec.CenterDist = s.a.Dist(u, rec.Center)
+	rec.BallRadius = s.pk.Balls[j][ball].Radius
+	rec.RUj = s.a.RadiusOfSize(u, s.pk.Size(j))
+	rec.RUj1 = s.a.RadiusOfSize(u, s.pk.Size(j+1))
+	rec.DistUTtoDst = s.a.Dist(u, dst)
+	rec.Claim46Holds = rec.RUj/(3*s.eps) < rec.DistUTtoDst &&
+		(j == s.pk.MaxJ() || rec.DistUTtoDst < rec.RUj1/5)
+	rec.CenterCost = obs.legs[phase5ToCenter].cost()
+	rec.SearchCost = obs.legs[phase5Search].cost()
+	rec.FinalCost = obs.legs[phase5Final].cost()
 	return rec, nil
 }
 
-// HeaderBitsEstimate returns the scheme's worst-case header size over
-// a set of sampled routes (for reports).
-func (s *ScaleFree) HeaderBitsEstimate(pairs [][2]int) (int, error) {
-	max := 0
-	for _, p := range pairs {
-		r, err := s.RouteToLabel(p[0], s.nt.Label(p[1]))
-		if err != nil {
-			return 0, err
-		}
-		if r.MaxHeaderBits > max {
-			max = r.MaxHeaderBits
-		}
-	}
-	return max, nil
+// The phase-B legs of Figure 2.
+const (
+	phase5ToCenter = iota
+	phase5Search
+	phase5Final
+	numPhase5Legs
+)
+
+// phase5Leg is the walk's running cost before a leg's first hop and
+// after its last; a leg without hops costs 0.
+type phase5Leg struct {
+	from, to float64
+	hopped   bool
 }
+
+func (l phase5Leg) cost() float64 { return l.to - l.from }
+
+// phase5Observer is Explain's walk.Observer.
+type phase5Observer struct {
+	cost       float64
+	phaseAHops int
+	// ut is the node phase B starts at (-1 while in phase A), j the
+	// packing level it entered, phaseBFrom the running cost there.
+	ut         int
+	j          int32
+	phaseBFrom float64
+	legs       [numPhase5Legs]phase5Leg
+	fell       bool
+}
+
+// Begin implements walk.Observer.
+func (o *phase5Observer) Begin(int, int) bool { return true }
+
+// Hop implements walk.Observer.
+func (o *phase5Observer) Hop(at, _ int, nh SFHeader, _ int, w float64) bool {
+	o.fell = o.fell || nh.Fallback
+	if nh.Phase == SFPhaseA {
+		o.phaseAHops++
+		o.cost += w
+		return true
+	}
+	if o.ut < 0 {
+		o.ut, o.j, o.phaseBFrom = at, nh.J, o.cost
+	}
+	l := &o.legs[phase5Final]
+	switch nh.Phase {
+	case SFPhaseToCenter:
+		l = &o.legs[phase5ToCenter]
+	case SFPhaseSearchDown, SFPhaseSearchUp:
+		l = &o.legs[phase5Search]
+	}
+	if !l.hopped {
+		l.from, l.hopped = o.cost, true
+	}
+	o.cost += w
+	l.to = o.cost
+	return true
+}
+
+// Arrive implements walk.Observer.
+func (o *phase5Observer) Arrive(_ int, h SFHeader) { o.fell = o.fell || h.Fallback }

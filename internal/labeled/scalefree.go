@@ -348,12 +348,6 @@ func (s *ScaleFree) minimalHitR(u, label int) (*sfLevel, *ringEntry, bool) {
 	return nil, nil, false
 }
 
-// phaseAHeader is the header size during Algorithm 5's walking phase:
-// destination label, previous level index, phase tag.
-func (s *ScaleFree) phaseAHeader() int {
-	return s.idBits + bits.UvarintLen(uint64(s.h.TopLevel()+1)) + 2
-}
-
 // RouteToLabel implements Algorithm 5 by walking the local Step
 // function (walk.Route): every forwarding decision is a function of the
 // current node's compiled state and the packet header. The route is
@@ -363,6 +357,10 @@ func (s *ScaleFree) RouteToLabel(src, label int) (*core.Route, error) {
 	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("labeled: source %d out of range", src)
 	}
-	return walk.Route[SFHeader](s.g, s, src, label, 16*s.g.N()*(s.h.TopLevel()+2),
+	return walk.Route[SFHeader](s.g, s, src, label, s.maxHops(),
 		func(h SFHeader) bool { return h.Fallback })
 }
+
+// maxHops is the hop budget of an Algorithm 5 walk, shared by
+// RouteToLabel and Explain.
+func (s *ScaleFree) maxHops() int { return 16 * s.g.N() * (s.h.TopLevel() + 2) }

@@ -48,11 +48,15 @@ type LazyOracle struct {
 	stats   LazyStats
 }
 
-// LazyStats counts the lazy oracle's work since construction. Every
-// field is a pure function of the query sequence: rows are built and
-// evicted in the same order at any GOMAXPROCS (PrefetchBalls installs
-// serially, SweepBalls counts in source order), so two runs of one
-// workload report the same numbers.
+// LazyStats counts the lazy oracle's work since construction. The
+// counters are a pure function of the order queries reach the oracle.
+// SweepBalls counts its rows serially in source order and
+// PrefetchBalls installs serially, so work that goes through them
+// reports the same numbers at any GOMAXPROCS. Point queries issued from
+// parallel workers (the search-tree builds, labeled.ScaleFree's cells)
+// race for the shared LRU, so two runs of such a build report the same
+// numbers only at GOMAXPROCS=1. The answers never vary; only the
+// counts of hits, rows built, entries settled and evictions do.
 type LazyStats struct {
 	// Hits counts queries answered from a cached row without running
 	// the kernel.

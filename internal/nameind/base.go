@@ -20,9 +20,9 @@ type Underlying interface {
 	NettingTree() *rnet.NettingTree
 }
 
-// base carries the machinery shared by Simple and ScaleFree: the graph,
-// metric oracle, naming, underlying labeled scheme, and the virtual-
-// edge/search plumbing over it.
+// base carries the state shared by Simple and ScaleFree: the graph,
+// metric oracle, naming, underlying labeled scheme and the per-node
+// storage accounting.
 type base struct {
 	g      *graph.Graph
 	a      metric.Distancer
@@ -60,56 +60,6 @@ func newBase(g *graph.Graph, a metric.Distancer, nm *Naming, under Underlying, e
 		b.tblBits[v] = under.TableBits(v) + b.idBits
 	}
 	return b, nil
-}
-
-// wrapBits is the name-independent header overhead on top of the
-// underlying scheme's header: the destination name, the current level,
-// search-state ids (tree center + return label), and a phase tag.
-func (b *base) wrapBits() int {
-	return b.nameBits + 2*b.idBits + bits.UvarintLen(uint64(b.h.TopLevel())) + 3
-}
-
-// walkVirtual traverses one search-tree virtual edge by routing with
-// the underlying labeled scheme (the endpoints hold each other's
-// labels).
-func (b *base) walkVirtual(tr *core.Trace, to int) error {
-	r, err := b.under.RouteToLabel(tr.At(), b.under.LabelOf(to))
-	if err != nil {
-		return fmt.Errorf("nameind: virtual edge to %d: %w", to, err)
-	}
-	tr.Header(r.MaxHeaderBits + b.wrapBits())
-	return tr.Walk(r.Path)
-}
-
-// searchRoundTrip runs Algorithm 2 on t starting and ending at the tree
-// center (which must be the trace's current node): it physically walks
-// the descent and the way back, and returns the label found, if any.
-func (b *base) searchRoundTrip(tr *core.Trace, t *searchtree.Tree[int], name int) (int, bool, error) {
-	if tr.At() != t.Center {
-		return 0, false, fmt.Errorf("nameind: search must start at center %d, at %d", t.Center, tr.At())
-	}
-	data, found, trail := t.Search(name)
-	for k := 1; k < len(trail); k++ {
-		if err := b.walkVirtual(tr, trail[k]); err != nil {
-			return 0, false, err
-		}
-	}
-	for k := len(trail) - 2; k >= 0; k-- {
-		if err := b.walkVirtual(tr, trail[k]); err != nil {
-			return 0, false, err
-		}
-	}
-	return data, found, nil
-}
-
-// routeToLabel finishes a delivery with the underlying scheme.
-func (b *base) routeToLabel(tr *core.Trace, label int) error {
-	r, err := b.under.RouteToLabel(tr.At(), label)
-	if err != nil {
-		return err
-	}
-	tr.Header(r.MaxHeaderBits + b.wrapBits())
-	return tr.Walk(r.Path)
 }
 
 // treeStorageBits charges each hosting node of a search tree: its

@@ -104,10 +104,18 @@ func fuzzHeaderCodec[H walk.Header](t *testing.T, data []byte, decode func(*bits
 	}
 }
 
+// wideNameSeed encodes h, a header whose name needs more than 32 bits.
+func wideNameSeed(h interface{ Encode(*bits.Writer) }) []byte {
+	var w bits.Writer
+	h.Encode(&w)
+	return w.Bytes()
+}
+
 func FuzzDecodeNIHeader(f *testing.F) {
 	for _, s := range niSeeds(f) {
 		f.Add(s)
 	}
+	f.Add(wideNameSeed(nameind.NIHeader{Name: 1<<32 + 3, Phase: nameind.NIPhaseSearchUp, Level: 2, Center: 5, VTarget: 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzHeaderCodec(t, data, nameind.DecodeNIHeader)
 	})
@@ -117,6 +125,7 @@ func FuzzDecodeSFNIHeader(f *testing.F) {
 	for _, s := range sfniSeeds(f) {
 		f.Add(s)
 	}
+	f.Add(wideNameSeed(nameind.SFNIHeader{Name: 1<<40 + 7, Phase: nameind.SFNIToBall, Level: 1, Center: 4, VTarget: 11, UseBall: true, J: 2, Idx: 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzHeaderCodec(t, data, nameind.DecodeSFNIHeader)
 	})

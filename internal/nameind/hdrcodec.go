@@ -2,6 +2,7 @@ package nameind
 
 import (
 	"fmt"
+	"math"
 
 	"compactrouting/internal/bits"
 	"compactrouting/internal/labeled"
@@ -75,7 +76,7 @@ func DecodeNIHeader(r *bits.Reader) (NIHeader, error) {
 		return NIHeader{}, fmt.Errorf("nameind: bad NI phase %d", tag)
 	}
 	h := NIHeader{Phase: NIPhase(tag)}
-	if h.Name, err = readID(r, "name", 0); err != nil {
+	if h.Name, err = readName(r); err != nil {
 		return NIHeader{}, err
 	}
 	if h.Level, err = readID(r, "level", 0); err != nil {
@@ -138,7 +139,7 @@ func DecodeSFNIHeader(r *bits.Reader) (SFNIHeader, error) {
 		return SFNIHeader{}, fmt.Errorf("nameind: bad SFNI phase %d", tag)
 	}
 	h := SFNIHeader{Phase: SFNIPhase(tag)}
-	if h.Name, err = readID(r, "name", 0); err != nil {
+	if h.Name, err = readName(r); err != nil {
 		return SFNIHeader{}, err
 	}
 	if h.Level, err = readID(r, "level", 0); err != nil {
@@ -193,6 +194,18 @@ func readID(r *bits.Reader, field string, min int32) (int32, error) {
 		return 0, fmt.Errorf("nameind: %s %d below %d", field, int32(v), min)
 	}
 	return int32(v), nil
+}
+
+// readName reads a destination name: a uvarint up to MaxInt64.
+func readName(r *bits.Reader) (int64, error) {
+	v, err := r.ReadUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt64 {
+		return 0, fmt.Errorf("nameind: name %d overflows int64", v)
+	}
+	return int64(v), nil
 }
 
 // readShiftedID reads a field encoded as value+1 so -1 round-trips.

@@ -11,6 +11,7 @@ import (
 	"compactrouting/internal/metric"
 	"compactrouting/internal/par"
 	"compactrouting/internal/searchtree"
+	"compactrouting/internal/walk"
 )
 
 // PackingProvider is the extra capability the scale-free scheme needs
@@ -243,41 +244,18 @@ func (s *ScaleFree) StretchBound() float64 {
 	return underB * (1 + 16*(1+e)*(1/e+1)/(1/e-2))
 }
 
-// search implements Algorithm 4: retrieve the label of name from the
-// index covering B_{u}(2^i/eps), either locally or through H(u, i).
-// The trace must be at y; it is returned there.
-func (s *ScaleFree) search(tr *core.Trace, i, pos, name int) (int, bool, error) {
-	if t := s.ownTrees[i][pos]; t != nil {
-		return s.searchRoundTrip(tr, t, name)
-	}
-	y := tr.At()
-	hl := s.hLinks[i][pos]
-	t := s.ballTrees[hl.j][hl.idx]
-	if err := s.routeToLabel(tr, s.under.LabelOf(t.Center)); err != nil {
-		return 0, false, err
-	}
-	label, found, err := s.searchRoundTrip(tr, t, name)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := s.routeToLabel(tr, s.under.LabelOf(y)); err != nil {
-		return 0, false, err
-	}
-	return label, found, nil
-}
+// ScaleFreeHopsPerNode is the hop budget of a Theorem 1.1 walk per
+// node of the graph, read by RouteToName, Explain and the scheme
+// registry's walker.
+const ScaleFreeHopsPerNode = 512
 
-// RouteToName implements Algorithm 3 with the Search() of Algorithm 4.
+// RouteToName implements Algorithm 3 with the Search() of Algorithm 4
+// by walking the local Step function (walk.Route). The route is marked
+// Fallback when an underlying Theorem 1.2 walk took its safety net.
 func (s *ScaleFree) RouteToName(src, name int) (*core.Route, error) {
-	return s.routeLoop(src, name, s.search, nil)
-}
-
-// Explain routes like RouteToName while recording the per-level cost
-// anatomy (Figure 1's decomposition, with Algorithm 4's delegated
-// searches folded into the level search costs).
-func (s *ScaleFree) Explain(src, name int) (*Explanation, error) {
-	rec := &Explanation{}
-	if _, err := s.routeLoop(src, name, s.search, rec); err != nil {
-		return nil, err
+	if src < 0 || src >= s.g.N() {
+		return nil, fmt.Errorf("nameind: source %d out of range", src)
 	}
-	return rec, nil
+	return walk.Route[SFNIHeader](s.g, s, src, name, ScaleFreeHopsPerNode*s.g.N(),
+		func(h SFNIHeader) bool { return h.Sub.Fallback })
 }

@@ -34,7 +34,8 @@ const (
 // SFNIHeader is the Theorem 1.1 packet header factored for per-node
 // stepping. Sub carries the underlying Theorem 1.2 walk.
 type SFNIHeader struct {
-	Name    int32
+	// Name is 64 bits wide, like NIHeader.Name.
+	Name    int64
 	Phase   SFNIPhase
 	Level   int32
 	Center  int32 // the zooming anchor u(Level)
@@ -70,7 +71,7 @@ func (s *ScaleFree) PrepareHeader(name int) (SFNIHeader, error) {
 	if s.nm.NodeOf(name) < 0 {
 		return SFNIHeader{}, fmt.Errorf("nameind: unknown name %d", name)
 	}
-	return SFNIHeader{Name: int32(name), Phase: SFNIStart}, nil
+	return SFNIHeader{Name: int64(name), Phase: SFNIStart}, nil
 }
 
 func (s *ScaleFree) underlyingSF() (*labeled.ScaleFree, error) {
@@ -114,8 +115,8 @@ func (s *ScaleFree) activeTree(h SFNIHeader) (*searchtree.Tree[int], error) {
 
 // enterLevel decides how the anchor w searches its level: its own tree
 // (start descending in place) or a delegated ball (walk to its center
-// first). The anchor's self-name check happens here, matching the
-// sequential loop.
+// first). The anchor's self-name check happens here, before any
+// search at the level, as Algorithm 3 makes it.
 func (s *ScaleFree) enterLevel(w int, h SFNIHeader) (SFNIHeader, bool, error) {
 	if s.nm.NameOf(w) == int(h.Name) {
 		return h, true, nil

@@ -8,6 +8,7 @@ import (
 	"compactrouting/internal/metric"
 	"compactrouting/internal/par"
 	"compactrouting/internal/searchtree"
+	"compactrouting/internal/walk"
 )
 
 // Simple is the Theorem 1.4 scheme (PODC 2006): (9+O(eps))-stretch
@@ -87,24 +88,19 @@ func (s *Simple) StretchBound() float64 {
 	return underB * (1 + 8*(1+e)*(1/e+1)/(1/e-2))
 }
 
-// searchLevel is the SearchTree() call of Algorithm 3's line 4.
-func (s *Simple) searchLevel(tr *core.Trace, i, pos, name int) (int, bool, error) {
-	return s.searchRoundTrip(tr, s.trees[i][pos], name)
-}
+// SimpleHopsPerNode is the hop budget of a Theorem 1.4 walk per node
+// of the graph: RouteToName, Explain and the scheme registry's walker
+// all allow SimpleHopsPerNode*n hops.
+const SimpleHopsPerNode = 256
 
-// RouteToName implements Algorithm 3: climb the zooming sequence,
-// searching the ball of each net ancestor until the destination's
-// label is found, then route with the labeled scheme.
+// RouteToName implements Algorithm 3 by walking the local Step function
+// (walk.Route): climb the zooming sequence, searching the ball of each
+// net ancestor until the destination's label is found, then route with
+// the labeled scheme. MaxHeaderBits is the largest header the packet
+// carries over an edge.
 func (s *Simple) RouteToName(src, name int) (*core.Route, error) {
-	return s.routeLoop(src, name, s.searchLevel, nil)
-}
-
-// Explain routes like RouteToName while recording the per-level cost
-// anatomy of Lemma 3.4 (the Figure 1 decomposition).
-func (s *Simple) Explain(src, name int) (*Explanation, error) {
-	rec := &Explanation{}
-	if _, err := s.routeLoop(src, name, s.searchLevel, rec); err != nil {
-		return nil, err
+	if src < 0 || src >= s.g.N() {
+		return nil, fmt.Errorf("nameind: source %d out of range", src)
 	}
-	return rec, nil
+	return walk.Route[NIHeader](s.g, s, src, name, SimpleHopsPerNode*s.g.N(), nil)
 }

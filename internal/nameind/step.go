@@ -31,7 +31,9 @@ const (
 // scheme, whose header rides along in Sub — the composition Section
 // 3.1.1 describes ("the endpoints keep each other's routing label").
 type NIHeader struct {
-	Name    int32
+	// Name is 64 bits wide: names come from any identifier space up to
+	// MaxInt64 (SparseRandomNaming's DHT setting), not just [0, n).
+	Name    int64
 	Phase   NIPhase
 	Level   int32
 	Center  int32 // u(Level), the current search tree's center
@@ -63,7 +65,7 @@ func (s *Simple) PrepareHeader(name int) (NIHeader, error) {
 	if s.nm.NodeOf(name) < 0 {
 		return NIHeader{}, fmt.Errorf("nameind: unknown name %d", name)
 	}
-	return NIHeader{Name: int32(name), Phase: NIPhaseStart}, nil
+	return NIHeader{Name: int64(name), Phase: NIPhaseStart}, nil
 }
 
 // underlying returns the concrete simple labeled scheme (the Step

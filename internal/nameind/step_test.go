@@ -6,6 +6,7 @@ import (
 	"compactrouting/internal/core"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
+	"compactrouting/internal/walk"
 )
 
 // driveSteps runs the step function sequentially and returns the walk.
@@ -34,13 +35,17 @@ func driveSteps(t *testing.T, s *Simple, src, name int) []int {
 	}
 }
 
+// TestStepMatchesRouteToName drives Step by hand and compares the walk
+// with the frozen virtual-edge loop RouteToName ran before it became a
+// walk of Step itself.
 func TestStepMatchesRouteToName(t *testing.T) {
 	f := geoFixture(t, 90, 41)
 	nm := RandomNaming(f.g.N(), 17)
 	s := newSimpleScheme(t, f, nm, 0.25)
+	ref := frozenSimple(s)
 	for _, p := range core.SamplePairs(f.g.N(), 250, 3) {
 		name := nm.NameOf(p[1])
-		seq, err := s.RouteToName(p[0], name)
+		seq, err := ref.route(p[0], name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +109,16 @@ func driveSFSteps(t *testing.T, s *ScaleFree, src, name int) []int {
 	}
 }
 
+// TestSFStepMatchesRouteToName is TestStepMatchesRouteToName for the
+// Theorem 1.1 scheme.
 func TestSFStepMatchesRouteToName(t *testing.T) {
 	f := geoFixture(t, 80, 44)
 	nm := RandomNaming(f.g.N(), 20)
 	s := newScaleFreeScheme(t, f, nm, 0.25)
+	ref := frozenScaleFree(s)
 	for _, p := range core.SamplePairs(f.g.N(), 200, 4) {
 		name := nm.NameOf(p[1])
-		seq, err := s.RouteToName(p[0], name)
+		seq, err := ref.route(p[0], name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +156,7 @@ func TestStepOnExponentialPathStationaryZoom(t *testing.T) {
 	// Exponential paths have deep hierarchies (L ~ 2n) with long
 	// stationary zoom runs where many levels resolve without emitting
 	// a hop: the stress case for the step function's internal
-	// transition budget.
+	// transition budget. The walks are compared with the frozen loop.
 	g, err := graph.ExponentialPath(48, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +165,10 @@ func TestStepOnExponentialPathStationaryZoom(t *testing.T) {
 	nm := RandomNaming(f.g.N(), 22)
 	s := newSimpleScheme(t, f, nm, 0.25)
 	sf := newScaleFreeScheme(t, f, nm, 0.25)
+	ref, sfRef := frozenSimple(s), frozenScaleFree(sf)
 	for _, p := range core.SamplePairs(f.g.N(), 150, 6) {
 		name := nm.NameOf(p[1])
-		seq, err := s.RouteToName(p[0], name)
+		seq, err := ref.route(p[0], name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +177,7 @@ func TestStepOnExponentialPathStationaryZoom(t *testing.T) {
 			t.Fatalf("simple: %d -> name %d: step path len %d, sequential %d",
 				p[0], name, len(got), len(seq.Path))
 		}
-		sfseq, err := sf.RouteToName(p[0], name)
+		sfseq, err := sfRef.route(p[0], name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,6 +185,35 @@ func TestStepOnExponentialPathStationaryZoom(t *testing.T) {
 		if len(sfgot) != len(sfseq.Path) {
 			t.Fatalf("scale-free: %d -> name %d: step path len %d, sequential %d",
 				p[0], name, len(sfgot), len(sfseq.Path))
+		}
+	}
+}
+
+// TestStepWalkDeliversWideNames routes to a name that differs from
+// another node's name only above bit 31: node 7 is named 3+2^32 and
+// node 3 is named 3. A header that truncates names to 32 bits walks to
+// node 3 without an error.
+func TestStepWalkDeliversWideNames(t *testing.T) {
+	f := geoFixture(t, 40, 45)
+	names := make([]int, f.g.N())
+	for v := range names {
+		names[v] = v
+	}
+	names[7] = 3 + 1<<32
+	nm, err := NewNaming(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSimpleScheme(t, f, nm, 0.25)
+	sf := newScaleFreeScheme(t, f, nm, 0.25)
+	for _, src := range []int{0, 3, 7, 20} {
+		for _, dst := range []int{3, 7} {
+			if lr := walk.RouteLite[NIHeader](f.g, s, src, nm.NameOf(dst), SimpleHopsPerNode*f.g.N()); lr.Err != nil || lr.Dst != dst {
+				t.Fatalf("simple %d -> name %d: arrived at %d (err %v), want %d", src, nm.NameOf(dst), lr.Dst, lr.Err, dst)
+			}
+			if lr := walk.RouteLite[SFNIHeader](f.g, sf, src, nm.NameOf(dst), ScaleFreeHopsPerNode*f.g.N()); lr.Err != nil || lr.Dst != dst {
+				t.Fatalf("scale-free %d -> name %d: arrived at %d (err %v), want %d", src, nm.NameOf(dst), lr.Dst, lr.Err, dst)
+			}
 		}
 	}
 }

@@ -57,7 +57,7 @@ var table = []Entry{
 		route:  (*labeled.ScaleFree).RouteToLabel,
 	},
 	&spec[*nameind.Simple, nameind.NIHeader]{
-		name: "name-independent", kind: NameIndependent, epsCap: 1.0 / 3, hopsPerNode: 256,
+		name: "name-independent", kind: NameIndependent, epsCap: 1.0 / 3, hopsPerNode: nameind.SimpleHopsPerNode,
 		build: func(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (*nameind.Simple, error) {
 			under, err := labeled.NewSimple(g, a, eps)
 			if err != nil {
@@ -85,7 +85,7 @@ var table = []Entry{
 		route: (*nameind.Simple).RouteToName,
 	},
 	&spec[*nameind.ScaleFree, nameind.SFNIHeader]{
-		name: "scale-free-name-independent", kind: NameIndependent, epsCap: 0.25, hopsPerNode: 512,
+		name: "scale-free-name-independent", kind: NameIndependent, epsCap: 0.25, hopsPerNode: nameind.ScaleFreeHopsPerNode,
 		build: func(g *graph.Graph, a metric.Distancer, eps float64, namingSeed int64) (*nameind.ScaleFree, error) {
 			under, err := labeled.NewScaleFree(g, a, eps)
 			if err != nil {
@@ -230,8 +230,8 @@ type spec[S impl[H], H walk.Header] struct {
 	// addr maps a node id to the address the scheme routes by: its
 	// label, its original name, or the id itself.
 	addr func(s S, v int) int
-	// route is the scheme's own sequential evaluator (RouteToLabel or
-	// RouteToName), taking an address.
+	// route is the scheme's RouteToLabel or RouteToName, taking an
+	// address.
 	route func(s S, src, addr int) (*core.Route, error)
 }
 

@@ -26,8 +26,9 @@ type Walker interface {
 	// Run is walk.RunTraced over node-id pairs: one goroutine per node.
 	// traces may be nil or len(pairs) long.
 	Run(pairs [][2]int, traces []*trace.Trace) []walk.Result
-	// Route is the scheme's own sequential evaluator (RouteToLabel or
-	// RouteToName), the reference the step-function walks must match.
+	// Route is the scheme's RouteToLabel or RouteToName: one walk.Route
+	// over the same step function, reporting the path and the largest
+	// header carried over an edge.
 	Route(src, dst int) (*core.Route, error)
 }
 

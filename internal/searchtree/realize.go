@@ -19,7 +19,7 @@ import (
 //   - tail edges within a site's Voronoi region are walked with a local
 //     labeled tree-routing scheme on the region's shortest-path tree.
 //
-// The walk itself consults the APSP oracle (equivalent hop-for-hop to
+// NextHopToward consults the APSP oracle (equivalent hop-for-hop to
 // following the stored entries); StorageBits reports what the stored
 // entries would cost per node.
 type PathRealizer struct {
@@ -128,19 +128,6 @@ func (r *PathRealizer) tailSchemeOf(v int) *treeroute.Scheme {
 	return nil
 }
 
-// Walk returns the physical node path realizing the virtual edge
-// between adjacent tree nodes from and to (either direction).
-func (r *PathRealizer) Walk(from, to int) ([]int, error) {
-	sch := r.tailSchemeOf(from)
-	if sch == nil {
-		sch = r.tailSchemeOf(to)
-	}
-	if sch != nil {
-		return sch.Route(from, sch.Label(to))
-	}
-	return pathBetween(r.a, from, to), nil
-}
-
 // StorageBits returns the realization storage at graph node x.
 func (r *PathRealizer) StorageBits(x int) int { return r.storage[x] }
 
@@ -156,10 +143,9 @@ func pathBetween(a metric.Distancer, u, v int) []int {
 }
 
 // NextHopToward returns the next physical hop from node at toward the
-// search-tree node target, using the same dispatch as Walk: the local
-// tail tree-routing scheme when the walk belongs to a Voronoi tail,
-// and the canonical shortest path (the stored Lemma 4.3 entries)
-// otherwise. at must differ from target.
+// search-tree node target: the local tail tree-routing scheme when the
+// walk belongs to a Voronoi tail, and the canonical shortest path (the
+// stored Lemma 4.3 entries) otherwise. at must differ from target.
 func (r *PathRealizer) NextHopToward(at, target int) (int, error) {
 	if at == target {
 		return 0, fmt.Errorf("searchtree: NextHopToward(%d, %d): already there", at, target)

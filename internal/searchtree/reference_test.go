@@ -93,3 +93,19 @@ func FrozenNew[D any](a metric.Distancer, center int, radius float64, cfg Config
 	t.assemble(sc, a.N(), levelOff, tailSite, tailLen)
 	return t, nil
 }
+
+// frozenWalk is the PathRealizer.Walk the sequential Algorithm 5 loop
+// used to cross a virtual edge between adjacent tree nodes in one call:
+// the tail scheme of from (else of to), or the canonical shortest path.
+// It is kept for TestRealizerWalksAndStorage; routing crosses virtual
+// edges hop by hop with NextHopToward.
+func frozenWalk(r *PathRealizer, from, to int) ([]int, error) {
+	sch := r.tailSchemeOf(from)
+	if sch == nil {
+		sch = r.tailSchemeOf(to)
+	}
+	if sch != nil {
+		return sch.Route(from, sch.Label(to))
+	}
+	return pathBetween(r.a, from, to), nil
+}

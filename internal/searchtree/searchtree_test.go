@@ -276,7 +276,7 @@ func TestRealizerWalksAndStorage(t *testing.T) {
 		// Realize the whole descent; each hop must be a graph edge.
 		cur := trail[0]
 		for i := 1; i < len(trail); i++ {
-			phys, err := rz.Walk(cur, trail[i])
+			phys, err := frozenWalk(rz, cur, trail[i])
 			if err != nil {
 				t.Fatalf("Walk(%d,%d): %v", cur, trail[i], err)
 			}

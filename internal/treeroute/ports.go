@@ -269,23 +269,3 @@ func (s *PortScheme) NextHop(u int, dst PortLabel) (next int, arrived bool, err 
 		return int(t.children[p]), false, nil
 	}
 }
-
-// Route walks from src to the destination labeled dst.
-func (s *PortScheme) Route(src int, dst PortLabel) ([]int, error) {
-	path := []int{src}
-	cur := src
-	for steps := 0; ; steps++ {
-		next, arrived, err := s.NextHop(cur, dst)
-		if err != nil {
-			return nil, err
-		}
-		if arrived {
-			return path, nil
-		}
-		if steps > s.size {
-			return nil, errors.New("treeroute: routing loop")
-		}
-		cur = next
-		path = append(path, cur)
-	}
-}

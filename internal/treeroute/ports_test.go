@@ -1,6 +1,7 @@
 package treeroute
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,5 +171,26 @@ func TestPortMapBitsReported(t *testing.T) {
 	}
 	if s.TableBits(0) <= 0 {
 		t.Fatal("table bits missing")
+	}
+}
+
+// Route walks from src to the destination labeled dst, one NextHop at
+// a time. Routing steps NextHop itself; Route serves these tests.
+func (s *PortScheme) Route(src int, dst PortLabel) ([]int, error) {
+	path := []int{src}
+	cur := src
+	for steps := 0; ; steps++ {
+		next, arrived, err := s.NextHop(cur, dst)
+		if err != nil {
+			return nil, err
+		}
+		if arrived {
+			return path, nil
+		}
+		if steps > s.size {
+			return nil, errors.New("treeroute: routing loop")
+		}
+		cur = next
+		path = append(path, cur)
 	}
 }
