@@ -41,22 +41,26 @@ race:
 lint:
 	$(GO) run ./cmd/determinlint -timing -maxwall 120s
 
+# fuzz-targets prints "<package dir> <FuzzName>" for every Fuzz* target
+# under internal/ and cmd/: the one scan fuzz-corpus-lint and
+# fuzz-smoke share, so a new target cannot miss either.
+FUZZ_TARGETS = for f in $$(grep -rln --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "$$(dirname $$f) $$target"; \
+		done; \
+	done
+
 # Every Fuzz* target must check in a seed corpus under
 # testdata/fuzz/<FuzzName> in its package: an empty corpus means the
 # fuzz-smoke burst explores from nothing and the codec's interesting
 # shapes are not pinned in review.
 fuzz-corpus-lint:
-	@bad=0; \
-	for f in $$(grep -rln --include='*_test.go' '^func Fuzz' internal cmd); do \
-		dir=$$(dirname $$f); \
-		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
-			corpus="$$dir/testdata/fuzz/$$target"; \
-			if [ ! -d "$$corpus" ] || [ -z "$$(ls -A $$corpus 2>/dev/null)" ]; then \
-				echo "$$f: $$target has no seed corpus in $$corpus"; bad=1; \
-			fi; \
-		done; \
-	done; \
-	[ $$bad -eq 0 ] && echo "fuzz corpora: ok" || exit 1
+	@$(FUZZ_TARGETS) | { bad=0; while read -r dir target; do \
+		corpus="$$dir/testdata/fuzz/$$target"; \
+		if [ ! -d "$$corpus" ] || [ -z "$$(ls -A $$corpus 2>/dev/null)" ]; then \
+			echo "$$dir: $$target has no seed corpus in $$corpus"; bad=1; \
+		fi; \
+	done; [ $$bad -eq 0 ]; } && echo "fuzz corpora: ok"
 
 # Machine-readable benchmark sweeps (write BENCH_*.json) and the sample
 # experiment output (docs/experiments_output.txt, headed by the command
@@ -146,32 +150,17 @@ bench-check:
 	{ cmp -s $$tmp/exp.txt docs/experiments_output.txt || { echo "docs/experiments_output.txt is stale: run make bench"; exit 1; }; } && \
 	echo "bench artifacts: ok"
 
-# ~10s total: each codec fuzzer, the lazy oracle's differential fuzzer,
-# the shortest-path kernel's queue fuzzer and the route cache's model
-# fuzzer run briefly from their seed corpus
-# (testdata/fuzz; regenerate with REGEN_FUZZ_CORPUS=1 go test
-# ./internal/... -run TestRegenFuzzCorpus). A fuzzer accepts exactly
-# one -fuzz target per invocation, hence the loop.
+# ~20s total: every Fuzz* target FUZZ_TARGETS finds — the codec
+# fuzzers, the lazy oracle's differential fuzzer, the shortest-path
+# kernel's queue fuzzer and the route cache's model fuzzer — runs for
+# 1 s from its seed corpus (testdata/fuzz; regenerate the header
+# corpora with REGEN_FUZZ_CORPUS=1 go test ./internal/... -run
+# TestRegenFuzzCorpus). A fuzzer accepts exactly one -fuzz target per
+# invocation, hence the loop.
 fuzz-smoke:
-	@for spec in \
-		"./internal/bits FuzzBitsCodec" \
-		"./internal/labeled FuzzDecodeSimpleHeader" \
-		"./internal/labeled FuzzDecodeSFHeader" \
-		"./internal/nameind FuzzDecodeNIHeader" \
-		"./internal/nameind FuzzDecodeSFNIHeader" \
-		"./internal/baseline FuzzDecodeDestination" \
-		"./internal/baseline FuzzDecodeTreeHeader" \
-		"./internal/trace FuzzTraceCodec" \
-		"./internal/dist FuzzDecodeMsg" \
-		"./internal/frame FuzzDecodeFrame" \
-		"./internal/server FuzzLiteCache" \
-		"./internal/snapshot FuzzDecodeSnapshot" \
-		"./internal/searchtree FuzzDecodeTree" \
-		"./internal/metric FuzzLazyBall" \
-		"./internal/metric FuzzKernelQueue"; do \
-		set -- $$spec; \
-		$(GO) test $$1 -run '^$$' -fuzz "^$$2$$$$" -fuzztime 1s >/dev/null || \
-			{ echo "fuzz-smoke failed: $$2"; exit 1; }; \
+	@$(FUZZ_TARGETS) | while read -r dir target; do \
+		$(GO) test ./$$dir -run '^$$' -fuzz "^$$target\$$" -fuzztime 1s </dev/null >/dev/null || \
+			{ echo "fuzz-smoke failed: $$target"; exit 1; }; \
 	done && echo "fuzz smoke: ok"
 
 # Capture a CPU profile of a full build+sweep (APSP, all scheme tables,

@@ -1,51 +1,17 @@
 package baseline_test
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"compactrouting/internal/baseline"
-	"compactrouting/internal/bits"
-	"compactrouting/internal/walk"
+	"compactrouting/internal/gate"
 )
-
-// encodedSeeds encodes a stride-spaced sample of harvested headers,
-// giving the fuzzers a corpus of real wire forms to mutate.
-func encodedSeeds[H walk.Header](hs []H, max int) [][]byte {
-	stride := len(hs) / max
-	if stride < 1 {
-		stride = 1
-	}
-	var out [][]byte
-	for i := 0; i < len(hs) && len(out) < max; i += stride {
-		var w bits.Writer
-		any(hs[i]).(interface{ Encode(*bits.Writer) }).Encode(&w)
-		out = append(out, append([]byte(nil), w.Bytes()...))
-	}
-	return out
-}
-
-// writeFuzzCorpus rewrites testdata/fuzz/<name> in Go's corpus format.
-func writeFuzzCorpus(t testing.TB, name string, seeds [][]byte) {
-	dir := filepath.Join("testdata", "fuzz", name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%03d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 func destinationSeeds(tb testing.TB) [][]byte {
 	g, a, pairs := codecFixture(tb)
 	s := baseline.NewFullTable(g, a)
-	return encodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 6)
+	return gate.EncodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 6)
 }
 
 func treeHeaderSeeds(tb testing.TB) [][]byte {
@@ -54,7 +20,7 @@ func treeHeaderSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 8)
+	return gate.EncodedSeeds(harvest(tb, s, pairs[:16], 8*g.N()), 8)
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in seed corpora from live
@@ -65,31 +31,12 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz seed corpora")
 	}
-	writeFuzzCorpus(t, "FuzzDecodeDestination", destinationSeeds(t))
-	writeFuzzCorpus(t, "FuzzDecodeTreeHeader", treeHeaderSeeds(t))
-}
-
-// fuzzHeaderCodec: arbitrary bytes either fail to decode or yield a
-// header whose re-encoding is exactly Bits() wide and decodes back to
-// itself. Must never panic or over-allocate on hostile input.
-func fuzzHeaderCodec[H walk.Header](t *testing.T, data []byte, decode func(*bits.Reader) (H, error)) {
-	h, err := decode(bits.NewReader(data, 8*len(data)))
-	if err != nil {
-		return
-	}
-	var w bits.Writer
-	any(h).(interface{ Encode(*bits.Writer) }).Encode(&w)
-	if w.Len() != h.Bits() {
-		t.Fatalf("decoded header %+v re-encodes to %d bits, Bits() promises %d", h, w.Len(), h.Bits())
-	}
-	r := bits.NewReader(w.Bytes(), w.Len())
-	got, err := decode(r)
-	if err != nil {
-		t.Fatalf("re-decode of %+v: %v", h, err)
-	}
-	if !reflect.DeepEqual(got, h) || r.Remaining() != 0 {
-		t.Fatalf("re-decode: got %+v (%d bits left), want %+v", got, r.Remaining(), h)
-	}
+	gate.WriteFuzzCorpus(t, "FuzzDecodeDestination", destinationSeeds(t))
+	gate.WriteFuzzCorpus(t, "FuzzDecodeTreeHeader", treeHeaderSeeds(t))
+	// Both headers open with a uvarint: the destination id, the tree
+	// label's DFS index.
+	gate.WriteNonCanonicalSeeds(t, "FuzzDecodeDestination", baseline.Destination(0), 0)
+	gate.WriteNonCanonicalSeeds(t, "FuzzDecodeTreeHeader", baseline.TreeHeader{}, 0)
 }
 
 func FuzzDecodeDestination(f *testing.F) {
@@ -97,7 +44,7 @@ func FuzzDecodeDestination(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzHeaderCodec(t, data, baseline.DecodeDestination)
+		gate.FuzzHeaderCodec(t, data, baseline.DecodeDestination)
 	})
 }
 
@@ -106,6 +53,6 @@ func FuzzDecodeTreeHeader(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzHeaderCodec(t, data, baseline.DecodeTreeHeader)
+		gate.FuzzHeaderCodec(t, data, baseline.DecodeTreeHeader)
 	})
 }

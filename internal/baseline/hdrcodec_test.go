@@ -1,12 +1,11 @@
 package baseline_test
 
 import (
-	"reflect"
 	"testing"
 
 	"compactrouting/internal/baseline"
-	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/walk"
@@ -42,32 +41,6 @@ func harvest[H walk.Header](t testing.TB, r walk.Router[H], pairs [][2]int, maxH
 	return out
 }
 
-// checkCodec pins Writer.Len() == Bits() and a clean decode round trip.
-func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
-	t.Helper()
-	if len(hs) == 0 {
-		t.Fatal("no headers harvested")
-	}
-	for _, h := range hs {
-		var w bits.Writer
-		any(h).(interface{ Encode(*bits.Writer) }).Encode(&w)
-		if w.Len() != h.Bits() {
-			t.Fatalf("header %+v: encoded to %d bits, Bits() promises %d", h, w.Len(), h.Bits())
-		}
-		r := bits.NewReader(w.Bytes(), w.Len())
-		got, err := decode(r)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", h, err)
-		}
-		if !reflect.DeepEqual(got, h) {
-			t.Fatalf("round trip: got %+v, want %+v", got, h)
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("decode of %+v left %d bits unread", h, r.Remaining())
-		}
-	}
-}
-
 func codecFixture(t testing.TB) (*graph.Graph, *metric.APSP, [][2]int) {
 	t.Helper()
 	g, _, err := graph.RandomGeometric(72, 0.25, 4)
@@ -81,7 +54,7 @@ func TestDestinationCodecMatchesBits(t *testing.T) {
 	g, a, pairs := codecFixture(t)
 	s := baseline.NewFullTable(g, a)
 	hs := harvest(t, s, pairs, 8*g.N())
-	checkCodec(t, hs, baseline.DecodeDestination)
+	gate.CheckCodec(t, hs, baseline.DecodeDestination)
 }
 
 func TestTreeHeaderCodecMatchesBits(t *testing.T) {
@@ -92,5 +65,5 @@ func TestTreeHeaderCodecMatchesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := harvest(t, s, pairs, 8*g.N())
-	checkCodec(t, hs, baseline.DecodeTreeHeader)
+	gate.CheckCodec(t, hs, baseline.DecodeTreeHeader)
 }

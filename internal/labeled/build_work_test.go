@@ -1,8 +1,10 @@
 package labeled
 
 import (
+	"fmt"
 	"testing"
 
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/rnet"
@@ -44,21 +46,15 @@ func TestLazySimpleBuildWork(t *testing.T) {
 	const n, eps = 512, 0.25
 	g := buildWorkGraph(t, n)
 	opts := metric.LazyOpts{MaxEntries: 8 * n}
-	build := func(procs int) metric.LazyStats {
-		var st metric.LazyStats
-		withGOMAXPROCS(procs, func() {
-			o := metric.NewLazyOracleOpts(g, opts)
-			if _, err := NewSimple(g, o, eps); err != nil {
-				t.Fatal(err)
-			}
-			st = o.Stats()
-		})
-		return st
-	}
-	got := build(1)
-	if par := build(8); par != got {
-		t.Fatalf("lazy build stats differ between GOMAXPROCS=1 and 8: %+v vs %+v", got, par)
-	}
+	var got metric.LazyStats
+	gate.Same(t, func() []byte {
+		o := metric.NewLazyOracleOpts(g, opts)
+		if _, err := NewSimple(g, o, eps); err != nil {
+			t.Fatal(err)
+		}
+		got = o.Stats()
+		return fmt.Appendf(nil, "%+v", got)
+	})
 	want := metric.LazyStats{Hits: 722, RowsBuilt: 5854, Settled: 359745, Evictions: 0}
 	if got != want {
 		t.Errorf("lazy build stats = %+v, want %+v", got, want)

@@ -1,11 +1,10 @@
 package labeled_test
 
 import (
-	"reflect"
 	"testing"
 
-	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
@@ -44,35 +43,6 @@ func harvest[H walk.Header](t testing.TB, r walk.Router[H], addr func(int) int, 
 	return out
 }
 
-// checkCodec pins the two codec invariants for each harvested header:
-// the encoder emits exactly Bits() bits (so the bit accounting the
-// experiments report is the real wire size), and decoding those bits
-// reproduces the header with nothing left over.
-func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
-	t.Helper()
-	if len(hs) == 0 {
-		t.Fatal("no headers harvested")
-	}
-	for _, h := range hs {
-		var w bits.Writer
-		any(h).(interface{ Encode(*bits.Writer) }).Encode(&w)
-		if w.Len() != h.Bits() {
-			t.Fatalf("header %+v: encoded to %d bits, Bits() promises %d", h, w.Len(), h.Bits())
-		}
-		r := bits.NewReader(w.Bytes(), w.Len())
-		got, err := decode(r)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", h, err)
-		}
-		if !reflect.DeepEqual(got, h) {
-			t.Fatalf("round trip: got %+v, want %+v", got, h)
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("decode of %+v left %d bits unread", h, r.Remaining())
-		}
-	}
-}
-
 func codecFixture(t testing.TB) (*graph.Graph, *metric.APSP, [][2]int) {
 	t.Helper()
 	g, _, err := graph.RandomGeometric(72, 0.25, 4)
@@ -89,7 +59,7 @@ func TestSimpleHeaderCodecMatchesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := harvest(t, s, s.LabelOf, pairs, 8*g.N())
-	checkCodec(t, hs, labeled.DecodeSimpleHeader)
+	gate.CheckCodec(t, hs, labeled.DecodeSimpleHeader)
 }
 
 func TestSFHeaderCodecMatchesBits(t *testing.T) {
@@ -99,5 +69,5 @@ func TestSFHeaderCodecMatchesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := harvest(t, s, s.LabelOf, pairs, 64*g.N())
-	checkCodec(t, hs, labeled.DecodeSFHeader)
+	gate.CheckCodec(t, hs, labeled.DecodeSFHeader)
 }

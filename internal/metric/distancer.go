@@ -122,7 +122,11 @@ func NormalizedDiameterOf(a Distancer) float64 {
 // internal per-source state ahead of a sweep. PrefetchBalls warms the
 // rows of the given sources out to radius r, sharding the cold misses
 // over internal/par; queries stay answer-identical whether or not it
-// ran (it is purely a throughput hint).
+// ran (it is purely a throughput hint). No builder calls it any more:
+// its one caller in the program is SweepBalls' fallback for decorator
+// types (sweepByQueries), and _bench's counting decorator implements it
+// by forwarding, which is why the interface stays until a change to
+// the benchmark drops that method.
 type Prefetcher interface {
 	PrefetchBalls(sources []int, r float64)
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 )
 
@@ -237,12 +237,12 @@ func TestKernelMatchesFrozenReference(t *testing.T) {
 				}
 			}
 
-			for _, procs := range []int{1, 8} {
+			for _, procs := range gate.Procs {
 				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-					prev := runtime.GOMAXPROCS(procs)
-					defer runtime.GOMAXPROCS(prev)
-					checkAPSPAgainstRef(t, NewAPSP(g), ref)
-					checkLazyAgainstRef(t, g, ref)
+					gate.WithProcs(procs, func() {
+						checkAPSPAgainstRef(t, NewAPSP(g), ref)
+						checkLazyAgainstRef(t, g, ref)
+					})
 				})
 			}
 		})

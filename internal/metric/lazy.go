@@ -29,9 +29,10 @@ import (
 // All methods are safe for concurrent use; a single mutex serializes
 // cache access and cold-miss construction. Sweep-shaped construction
 // (every center reads its own ball once) goes through SweepBalls,
-// which builds rows on the worker pool and never touches the cache;
-// PrefetchBalls warms the cache for callers that query rows point by
-// point.
+// which builds rows on the worker pool and never touches the cache.
+// No builder calls PrefetchBalls any more: it warms the cache only for
+// SweepBalls' fallback over decorator types (sweepByQueries) and for
+// _bench's counting decorator, which forwards it.
 type LazyOracle struct {
 	g       *graph.Graph
 	n       int
@@ -50,9 +51,11 @@ type LazyOracle struct {
 
 // LazyStats counts the lazy oracle's work since construction. The
 // counters are a pure function of the order queries reach the oracle.
-// SweepBalls counts its rows serially in source order and
-// PrefetchBalls installs serially, so work that goes through them
-// reports the same numbers at any GOMAXPROCS. Point queries issued from
+// SweepBalls counts its rows serially in source order, and
+// PrefetchBalls (reached only through SweepBalls' fallback for
+// decorator types and _bench's counting decorator, never from a
+// builder) installs serially, so work that goes through them reports
+// the same numbers at any GOMAXPROCS. Point queries issued from
 // parallel workers (the search-tree builds, labeled.ScaleFree's cells)
 // race for the shared LRU, so two runs of such a build report the same
 // numbers only at GOMAXPROCS=1. The answers never vary; only the

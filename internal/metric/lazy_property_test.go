@@ -1,11 +1,12 @@
 package metric
 
 import (
+	"bytes"
+	"fmt"
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 )
 
@@ -148,7 +149,8 @@ func TestLazyEvictionRequeryDeterminism(t *testing.T) {
 // independence: the rows it installs — and every answer derived from
 // them — must be identical whether the strided Dijkstra workers run on
 // one P or eight. Install order is serialized in source order by
-// construction; this test is the regression net for that contract.
+// construction; this test is the regression net for that contract. The
+// cache's entry count rides along as an extra.
 func TestLazyPrefetchParallelDeterminism(t *testing.T) {
 	g := propertyGraph(t, 96, 17)
 	n := g.N()
@@ -156,38 +158,27 @@ func TestLazyPrefetchParallelDeterminism(t *testing.T) {
 	for u := 0; u < n; u += 2 {
 		sources = append(sources, u)
 	}
-	sweep := func(procs int) (map[int][]int, int) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
+	gate.Same(t, func() []byte {
 		o := NewLazyOracleOpts(g, LazyOpts{MaxEntries: 64 * n})
 		r := o.Eccentricity(sources[0]) / 2
 		o.PrefetchBalls(sources, r)
-		balls := make(map[int][]int, len(sources))
+		var out []byte
 		for _, u := range sources {
-			balls[u] = o.Ball(u, r)
+			out = fmt.Appendf(out, "ball %d: %v\n", u, o.Ball(u, r))
 		}
-		return balls, o.CachedEntries()
-	}
-	serialBalls, serialEntries := sweep(1)
-	parallelBalls, parallelEntries := sweep(8)
-	if !reflect.DeepEqual(serialBalls, parallelBalls) {
-		t.Fatal("PrefetchBalls results differ between GOMAXPROCS=1 and GOMAXPROCS=8")
-	}
-	if serialEntries != parallelEntries {
-		t.Fatalf("cache state differs by schedule: %d entries serial, %d parallel", serialEntries, parallelEntries)
-	}
+		return fmt.Appendf(out, "cached entries %d", o.CachedEntries())
+	})
 }
 
 // TestLazyStatsDeterministic pins the work counters to the query
 // sequence: a fixed workload — a parallel PrefetchBalls sweep, then
 // point, ball and order queries through an undersized cache — reports
-// identical Stats on a repeat run and at GOMAXPROCS 1 vs 8.
+// identical Stats on a repeat run and at every GOMAXPROCS.
 func TestLazyStatsDeterministic(t *testing.T) {
 	g := propertyGraph(t, 96, 23)
 	n := g.N()
-	workload := func(procs int) LazyStats {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
+	var stats LazyStats
+	workload := func() []byte {
 		o := NewLazyOracleOpts(g, LazyOpts{MaxEntries: 4 * n})
 		sources := make([]int, 0, n/3)
 		for u := 0; u < n; u += 3 {
@@ -203,16 +194,14 @@ func TestLazyStatsDeterministic(t *testing.T) {
 			o.Kth(v, i%n)
 			o.RadiusOfSize(u, 1+i%16)
 		}
-		return o.Stats()
+		stats = o.Stats()
+		return fmt.Appendf(nil, "%+v", stats)
 	}
-	first := workload(1)
-	if first.Hits == 0 || first.RowsBuilt == 0 || first.Evictions == 0 || first.Settled < first.RowsBuilt {
-		t.Fatalf("workload did not exercise every counter: %+v", first)
+	first := gate.Same(t, workload)
+	if stats.Hits == 0 || stats.RowsBuilt == 0 || stats.Evictions == 0 || stats.Settled < stats.RowsBuilt {
+		t.Fatalf("workload did not exercise every counter: %+v", stats)
 	}
-	if again := workload(1); again != first {
-		t.Fatalf("Stats differ between identical runs: %+v vs %+v", first, again)
-	}
-	if parallel := workload(8); parallel != first {
-		t.Fatalf("Stats differ between GOMAXPROCS=1 and 8: %+v vs %+v", first, parallel)
+	if again := gate.Same(t, workload); !bytes.Equal(again, first) {
+		t.Fatalf("Stats differ between identical runs: %s vs %s", first, again)
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"compactrouting/internal/gate"
 )
 
 // wrappedDistancer is a plain decorator: it forwards the Distancer
@@ -59,31 +60,31 @@ func TestSweepBallsMatchesQueries(t *testing.T) {
 		dense := NewAPSP(g)
 		sources := sweepSources(n, 5)
 		radii := []float64{0, dense.Eccentricity(sources[0]) / 2, math.Inf(1)}
-		for _, procs := range []int{1, 8} {
+		for _, procs := range gate.Procs {
 			for _, backend := range []string{"dense", "lazy", "wrapped-lazy", "wrapped-dense"} {
 				t.Run(fmt.Sprintf("%s/procs%d/%s", tc.name, procs, backend), func(t *testing.T) {
-					prev := runtime.GOMAXPROCS(procs)
-					defer runtime.GOMAXPROCS(prev)
-					var a Distancer
-					switch backend {
-					case "dense":
-						a = dense
-					case "lazy":
-						a = NewLazyOracleOpts(g, LazyOpts{MaxEntries: 4 * n})
-					case "wrapped-lazy":
-						a = wrappedDistancer{NewLazyOracle(g)}
-					case "wrapped-dense":
-						a = wrappedDistancer{dense}
-					}
-					for _, r := range radii {
-						got := sweepAll(a, sources, r)
-						if len(got) != len(sources) {
-							t.Fatalf("r=%v: %d visits for %d sources", r, len(got), len(sources))
+					gate.WithProcs(procs, func() {
+						var a Distancer
+						switch backend {
+						case "dense":
+							a = dense
+						case "lazy":
+							a = NewLazyOracleOpts(g, LazyOpts{MaxEntries: 4 * n})
+						case "wrapped-lazy":
+							a = wrappedDistancer{NewLazyOracle(g)}
+						case "wrapped-dense":
+							a = wrappedDistancer{dense}
 						}
-						for k, u := range sources {
-							checkSweptRow(t, a, got[k], u, r)
+						for _, r := range radii {
+							got := sweepAll(a, sources, r)
+							if len(got) != len(sources) {
+								t.Fatalf("r=%v: %d visits for %d sources", r, len(got), len(sources))
+							}
+							for k, u := range sources {
+								checkSweptRow(t, a, got[k], u, r)
+							}
 						}
-					}
+					})
 				})
 			}
 		}

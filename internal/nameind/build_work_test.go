@@ -3,6 +3,7 @@ package nameind
 import (
 	"testing"
 
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
@@ -15,7 +16,7 @@ import (
 func lazyNameIndStats(t *testing.T, g *graph.Graph, eps float64, procs int) metric.LazyStats {
 	t.Helper()
 	var st metric.LazyStats
-	withGOMAXPROCS(procs, func() {
+	gate.WithProcs(procs, func() {
 		o := metric.NewLazyOracle(g)
 		under, err := labeled.NewSimple(g, o, eps)
 		if err != nil {

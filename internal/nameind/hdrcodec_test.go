@@ -1,11 +1,10 @@
 package nameind_test
 
 import (
-	"reflect"
 	"testing"
 
-	"compactrouting/internal/bits"
 	"compactrouting/internal/core"
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
 	"compactrouting/internal/metric"
@@ -44,33 +43,6 @@ func harvest[H walk.Header](t testing.TB, r walk.Router[H], addr func(int) int, 
 	return out
 }
 
-// checkCodec pins Writer.Len() == Bits() and a clean decode round trip
-// for each harvested header.
-func checkCodec[H walk.Header](t testing.TB, hs []H, decode func(*bits.Reader) (H, error)) {
-	t.Helper()
-	if len(hs) == 0 {
-		t.Fatal("no headers harvested")
-	}
-	for _, h := range hs {
-		var w bits.Writer
-		any(h).(interface{ Encode(*bits.Writer) }).Encode(&w)
-		if w.Len() != h.Bits() {
-			t.Fatalf("header %+v: encoded to %d bits, Bits() promises %d", h, w.Len(), h.Bits())
-		}
-		r := bits.NewReader(w.Bytes(), w.Len())
-		got, err := decode(r)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", h, err)
-		}
-		if !reflect.DeepEqual(got, h) {
-			t.Fatalf("round trip: got %+v, want %+v", got, h)
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("decode of %+v left %d bits unread", h, r.Remaining())
-		}
-	}
-}
-
 func codecFixture(t testing.TB) (*graph.Graph, *metric.APSP, *nameind.Naming, [][2]int) {
 	t.Helper()
 	g, _, err := graph.RandomGeometric(72, 0.25, 4)
@@ -91,7 +63,7 @@ func TestNIHeaderCodecMatchesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := harvest(t, s, nm.NameOf, pairs, 256*g.N())
-	checkCodec(t, hs, nameind.DecodeNIHeader)
+	gate.CheckCodec(t, hs, nameind.DecodeNIHeader)
 }
 
 func TestSFNIHeaderCodecMatchesBits(t *testing.T) {
@@ -105,5 +77,5 @@ func TestSFNIHeaderCodecMatchesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := harvest(t, s, nm.NameOf, pairs, 512*g.N())
-	checkCodec(t, hs, nameind.DecodeSFNIHeader)
+	gate.CheckCodec(t, hs, nameind.DecodeSFNIHeader)
 }

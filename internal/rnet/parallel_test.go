@@ -1,32 +1,24 @@
 package rnet
 
 import (
-	"reflect"
-	"runtime"
+	"fmt"
 	"testing"
+
+	"compactrouting/internal/bits"
+	"compactrouting/internal/gate"
 )
 
 // TestHierarchyParallelEquivalence: NewHierarchy parallelizes the Net
-// seed prefilter and the zoomParent scans; the resulting hierarchy must
-// be bit-identical to a GOMAXPROCS=1 serial build.
+// seed prefilter and the zoomParent scans; the hierarchy must be the
+// same at every GOMAXPROCS. EncodeHierarchy writes the elected levels;
+// the lookup structures it leaves to the decoder (positions, max levels,
+// zoom parents) are compared as extras.
 func TestHierarchyParallelEquivalence(t *testing.T) {
 	a := geoAPSP(t, 120, 5)
-	build := func() *Hierarchy { return NewHierarchy(a, 0) }
-	old := runtime.GOMAXPROCS(1)
-	serial := build()
-	runtime.GOMAXPROCS(8)
-	parallel := build()
-	runtime.GOMAXPROCS(old)
-	if !reflect.DeepEqual(serial.Levels, parallel.Levels) {
-		t.Fatal("parallel hierarchy has different net levels than serial build")
-	}
-	if !reflect.DeepEqual(serial.pos, parallel.pos) {
-		t.Fatal("parallel hierarchy has different level positions than serial build")
-	}
-	if !reflect.DeepEqual(serial.maxLevel, parallel.maxLevel) {
-		t.Fatal("parallel hierarchy has different max levels than serial build")
-	}
-	if !reflect.DeepEqual(serial.zoomParent, parallel.zoomParent) {
-		t.Fatal("parallel hierarchy has different zoom parents than serial build")
-	}
+	gate.Same(t, func() []byte {
+		h := NewHierarchy(a, 0)
+		var w bits.Writer
+		EncodeHierarchy(&w, h)
+		return fmt.Appendf(w.Bytes(), "\npos %v\nmax levels %v\nzoom parents %v", h.pos, h.maxLevel, h.zoomParent)
+	})
 }

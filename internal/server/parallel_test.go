@@ -1,32 +1,31 @@
 package server
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
+
+	"compactrouting/internal/gate"
 )
 
 // TestEngineParallelBuildEquivalence: the engine compiles its scheme set
-// with a parallel fan-out; everything it reports about the compiled
-// schemes (bit accounting, order) must match a GOMAXPROCS=1 serial
-// build. BuildMillis is wall clock and is excluded.
+// with a parallel fan-out; its snapshot and everything it reports about
+// the compiled schemes (bit accounting, order) must be the same at
+// every GOMAXPROCS. BuildMillis is wall clock and is left out.
 func TestEngineParallelBuildEquivalence(t *testing.T) {
-	build := func() []SchemeInfo {
+	gate.Same(t, func() []byte {
 		eng := newTestEngine(t, SchemeNames, 0)
-		return eng.Schemes()
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial := build()
-	runtime.GOMAXPROCS(8)
-	parallel := build()
-	runtime.GOMAXPROCS(old)
-	if len(serial) != len(parallel) {
-		t.Fatalf("scheme count differs: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		s.BuildMillis, p.BuildMillis = 0, 0
-		if s != p {
-			t.Fatalf("scheme %d (%s): parallel build info %+v differs from serial %+v", i, s.Name, p, s)
+		f, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		out, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range eng.Schemes() {
+			info.BuildMillis = 0
+			out = fmt.Appendf(out, "\n%+v", info)
+		}
+		return out
+	})
 }

@@ -19,10 +19,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"compactrouting/internal/core"
+	"compactrouting/internal/gate"
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/schemes"
@@ -169,41 +169,46 @@ func TestTracePropertySweep(t *testing.T) {
 
 // TestTraceBytesAcrossGOMAXPROCS pins the concurrency contract: the
 // concurrent simulator's traces are byte-identical to the sequential
-// driver's, whether the runtime schedules on 1 or 8 CPUs.
+// driver's, at every GOMAXPROCS.
 func TestTraceBytesAcrossGOMAXPROCS(t *testing.T) {
 	g, a := buildGraph(t, "geometric", 64, 5)
 	pairs := core.SamplePairs(g.N(), 32, 7)
+	// Each trace goes in with its length, so equal bytes mean equal
+	// traces pair by pair.
+	appendTrace := func(out []byte, tr *trace.Trace) []byte {
+		m := tr.Marshal()
+		return append(fmt.Appendf(out, "\n%d ", len(m)), m...)
+	}
 	for _, scheme := range propertySchemes {
 		sc, err := buildScheme(scheme, g, a, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		// Sequential reference bytes.
-		want := make([][]byte, len(pairs))
-		for i, p := range pairs {
+		var want []byte
+		for _, p := range pairs {
 			tr := &trace.Trace{}
 			if res := sc.Traced(p[0], p[1], tr); res.Err != nil {
 				t.Fatalf("%s pair (%d,%d): %v", scheme, p[0], p[1], res.Err)
 			}
-			want[i] = tr.Marshal()
+			want = appendTrace(want, tr)
 		}
-		for _, procs := range []int{1, 8} {
-			old := runtime.GOMAXPROCS(procs)
+		got := gate.Same(t, func() []byte {
 			traces := make([]*trace.Trace, len(pairs))
 			for i := range traces {
 				traces[i] = &trace.Trace{}
 			}
-			results := sc.Run(pairs, traces)
-			runtime.GOMAXPROCS(old)
-			for i := range pairs {
-				if results[i].Err != nil {
-					t.Fatalf("%s GOMAXPROCS=%d pair (%d,%d): %v", scheme, procs, pairs[i][0], pairs[i][1], results[i].Err)
+			var out []byte
+			for i, res := range sc.Run(pairs, traces) {
+				if res.Err != nil {
+					t.Fatalf("%s pair (%d,%d): %v", scheme, pairs[i][0], pairs[i][1], res.Err)
 				}
-				if !bytes.Equal(traces[i].Marshal(), want[i]) {
-					t.Fatalf("%s GOMAXPROCS=%d pair (%d,%d): concurrent trace bytes differ from sequential",
-						scheme, procs, pairs[i][0], pairs[i][1])
-				}
+				out = appendTrace(out, traces[i])
 			}
+			return out
+		})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: concurrent trace bytes differ from sequential: %s", scheme, gate.Diff(want, got))
 		}
 	}
 }

@@ -71,11 +71,17 @@ func (l Label) Encode(w *bits.Writer) {
 	}
 }
 
-// DecodeLabel reads a label written by Encode.
+// DecodeLabel reads a label written by Encode, rejecting ids and DFS
+// numbers above MaxInt32 (Encode never writes one, so accepting it
+// would map two streams to one label) and counts that exceed the
+// stream.
 func DecodeLabel(r *bits.Reader) (Label, error) {
 	in, err := r.ReadUvarint()
 	if err != nil {
 		return Label{}, err
+	}
+	if in > maxInt32 {
+		return Label{}, fmt.Errorf("treeroute: label In %d overflows int32", in)
 	}
 	cnt, err := r.ReadUvarint()
 	if err != nil {
@@ -94,10 +100,16 @@ func DecodeLabel(r *bits.Reader) (Label, error) {
 		if err != nil {
 			return Label{}, err
 		}
+		if d-1 > uint64(maxInt32-prev) {
+			return Label{}, fmt.Errorf("treeroute: light edge parent In overflows int32")
+		}
 		prev += int32(d - 1)
 		c, err := r.ReadUvarint()
 		if err != nil {
 			return Label{}, err
+		}
+		if c > maxInt32 {
+			return Label{}, fmt.Errorf("treeroute: light child %d overflows int32", c)
 		}
 		l.Light[i] = LightEntry{ParentIn: prev, Child: int32(c)}
 	}

@@ -32,6 +32,7 @@ import (
 	"compactrouting/internal/graph"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/treeroute"
+	"compactrouting/internal/walk"
 )
 
 // Scheme is a compiled stretch-3 TZ routing scheme.
@@ -183,62 +184,75 @@ func (s *Scheme) LabelBitsOf(v int) int {
 // TableBits returns u's table size in bits.
 func (s *Scheme) TableBits(v int) int { return s.tblBits[v] }
 
-// RouteToLabel routes from src to dst (= label): cluster next hops
-// while the destination is in the current node's cluster, otherwise
-// toward the destination's home landmark and down its tree.
+// Header is the TZ packet header: the destination's full label — its
+// id, its home landmark and its tree-routing label in that landmark's
+// tree — and whether the packet has reached the home landmark and
+// descends its tree.
+type Header struct {
+	Dst   int32
+	Home  int32 // index into the landmarks
+	Label treeroute.Label
+	Tree  bool
+	size  int32
+}
+
+// Bits returns the header size: the full label (LabelBitsOf) plus a
+// 2-bit phase tag.
+func (h Header) Bits() int { return int(h.size) }
+
+// PrepareHeader returns the initial header for a delivery to dst.
+func (s *Scheme) PrepareHeader(dst int) (Header, error) {
+	if dst < 0 || dst >= s.g.N() {
+		return Header{}, fmt.Errorf("tz: destination %d out of range", dst)
+	}
+	home := s.home[dst]
+	return Header{
+		Dst:   int32(dst),
+		Home:  home,
+		Label: s.trees[home].Label(dst),
+		size:  int32(s.LabelBitsOf(dst) + 2),
+	}, nil
+}
+
+// Step performs one local TZ forwarding decision at u: a cluster next
+// hop while the destination is in u's cluster, otherwise toward the
+// destination's home landmark and, once there, down its tree.
+func (s *Scheme) Step(u int, h Header) (int, Header, bool, error) {
+	if u == int(h.Dst) {
+		return u, h, true, nil
+	}
+	if !h.Tree {
+		if next, ok := s.cluster[u][h.Dst]; ok {
+			// Cluster phase: v ∈ C(u) persists along the shortest path
+			// (d(w,v) <= d(u,v) < d(v,A)), so this never dead-ends.
+			return int(next), h, false, nil
+		}
+		if u != s.landmarks[h.Home] {
+			return int(s.toLandmark[u][h.Home]), h, false, nil
+		}
+		h.Tree = true
+	}
+	next, arrived, err := s.trees[h.Home].NextHop(u, h.Label)
+	if err != nil {
+		return 0, h, false, err
+	}
+	if arrived {
+		return 0, h, false, fmt.Errorf("tz: tree routing ended at %d, want %d", u, h.Dst)
+	}
+	return next, h, false, nil
+}
+
+// RouteToLabel routes from src to dst (= label) through Step, within
+// 4n hops. The header is charged from the source on, whether or not the
+// packet moves.
 func (s *Scheme) RouteToLabel(src, label int) (*core.Route, error) {
-	n := s.g.N()
-	if src < 0 || src >= n {
+	if src < 0 || src >= s.g.N() {
 		return nil, fmt.Errorf("tz: source %d out of range", src)
 	}
-	if label < 0 || label >= n {
-		return nil, fmt.Errorf("tz: destination %d out of range", label)
+	r, err := walk.Route[Header](s.g, s, src, label, 4*s.g.N(), nil)
+	if err != nil {
+		return nil, err
 	}
-	dst := label
-	tr := core.NewTrace(s.g, src)
-	hdr := s.LabelBitsOf(dst) + 2
-	tr.Header(hdr)
-	homeIdx := int(s.home[dst])
-	homeTree := s.trees[homeIdx]
-	inTreePhase := false
-	maxSteps := 4 * n
-	for step := 0; ; step++ {
-		if step > maxSteps {
-			return nil, fmt.Errorf("tz: no progress routing to %d", dst)
-		}
-		u := tr.At()
-		if u == dst {
-			return tr.Finish(dst)
-		}
-		if !inTreePhase {
-			if next, ok := s.cluster[u][int32(dst)]; ok {
-				// Cluster phase: v ∈ C(u) persists along the shortest
-				// path (d(w,v) <= d(u,v) < d(v,A)), so this never
-				// dead-ends.
-				if err := tr.Hop(int(next)); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if u != s.landmarks[homeIdx] {
-				// Head for the destination's home landmark.
-				if err := tr.Hop(int(s.toLandmark[u][homeIdx])); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			inTreePhase = true
-		}
-		// Tree phase: descend the home landmark's SPT.
-		next, arrived, err := homeTree.NextHop(u, homeTree.Label(dst))
-		if err != nil {
-			return nil, err
-		}
-		if arrived {
-			return tr.Finish(dst)
-		}
-		if err := tr.Hop(next); err != nil {
-			return nil, err
-		}
-	}
+	r.MaxHeaderBits = s.LabelBitsOf(label) + 2
+	return r, nil
 }
