@@ -112,6 +112,31 @@ func BenchmarkLazyDistCold(b *testing.B) {
 	}
 }
 
+// BenchmarkLazyPointDist measures the point search the serving plane
+// asks for its optimal distance, over BenchmarkLazyDistCold's pairs:
+// no row is built or cached, so every iteration is a landmark A*
+// search. The landmark index is built before the timer starts; it is
+// paid once per oracle, by the first point query.
+func BenchmarkLazyPointDist(b *testing.B) {
+	for _, family := range []string{"geometric", "power-law"} {
+		b.Run(family, func(b *testing.B) {
+			g := benchGraph(b, family, 2048)
+			n := g.N()
+			o := NewLazyOracle(g)
+			sinkDist = PointDist(o, 0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, k := i%n, (i/n)%n
+				sinkDist = PointDist(o, u, (u+1+k)%n)
+			}
+			b.StopTimer()
+			st := o.Stats()
+			b.ReportMetric(float64(st.PointExpanded)/float64(st.PointSearches), "expanded/op")
+		})
+	}
+}
+
 // BenchmarkBall measures the allocating accessor the scheme
 // constructors used to call per (node, level).
 func BenchmarkBall(b *testing.B) {

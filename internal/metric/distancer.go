@@ -29,7 +29,8 @@ func NewBackend(g *graph.Graph, name string) (Distancer, error) {
 //     O(n²) memory, O(1) queries.
 //   - LazyOracle, the on-demand backend: truncated single-source
 //     Dijkstra rows computed per query and cached in a bounded LRU,
-//     o(n²) memory for ball-local construction patterns.
+//     o(n²) memory for ball-local construction patterns, plus a
+//     landmark A* point search for callers of PointDist.
 //
 // The two backends are byte-equivalent: for every query below, both
 // return bit-identical results on the same graph (asserted by the
@@ -45,12 +46,17 @@ func NewBackend(g *graph.Graph, name string) (Distancer, error) {
 type Distancer interface {
 	// N returns the number of nodes.
 	N() int
-	// Dist returns d(u, v) with source-u summation order. The serving
-	// plane's framed route path calls it per query: the dense backend
-	// answers with an allocation-free array read (held to 0 allocs/op
-	// by the frame-path AllocsPerRun pins), while the lazy backend may
-	// allocate on a cold row — its serving cost is amortized, not
-	// zero, which is the documented price of skipping the n² build.
+	// Dist returns d(u, v) with source-u summation order. Construction
+	// asks through Dist, and on the lazy backend a miss builds and
+	// caches u's row out to v, because builders go on to read that
+	// row's neighbourhood (balls, nearest nodes, next hops around u).
+	// The serving plane asks one distance per pair and never reads the
+	// row again, so it goes through PointDist instead: the same bits
+	// from a landmark A* search that builds no row and allocates
+	// nothing once its index and scratch exist. On the dense backend
+	// both are the same allocation-free array read (held to 0
+	// allocs/op, like the lazy point search, by the frame-path
+	// AllocsPerRun pins).
 	//determinlint:hotpath
 	Dist(u, v int) float64
 	// NextHop returns the neighbor of u on the canonical shortest path

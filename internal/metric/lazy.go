@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"compactrouting/internal/graph"
 	"compactrouting/internal/par"
@@ -33,6 +34,15 @@ import (
 // No builder calls PrefetchBalls any more: it warms the cache only for
 // SweepBalls' fallback over decorator types (sweepByQueries) and for
 // _bench's counting decorator, which forwards it.
+//
+// The serving path builds no rows. It asks its optimal distance through
+// PointDist, which a cached row answers when it holds the pair, and
+// otherwise a goal-directed A* search from u with landmark lower bounds
+// (point.go): it expands the nodes between u and v instead of the whole
+// ball of radius d(u, v), returns Dist's bits, caches nothing, and runs
+// outside the mutex on pooled scratch. Its only state is the landmark
+// index, 16 full rows built by the first point query, so construction
+// stays O(1) and the build's work counters do not change.
 type LazyOracle struct {
 	g       *graph.Graph
 	n       int
@@ -47,6 +57,16 @@ type LazyOracle struct {
 	maxEnt  int
 	bld     *sssp
 	stats   LazyStats
+
+	// The point search (point.go) runs outside mu: its landmark index,
+	// built by the first point query under lmMu, its scratch free list
+	// and its counters.
+	lm            atomic.Pointer[landmarks]
+	lmMu          sync.Mutex
+	spareMu       sync.Mutex
+	spare         []*pointScratch // guarded by spareMu
+	pointSearches atomic.Uint64   // guarded by atomic
+	pointExpanded atomic.Uint64   // guarded by atomic
 }
 
 // LazyStats counts the lazy oracle's work since construction. The
@@ -59,7 +79,11 @@ type LazyOracle struct {
 // parallel workers (the search-tree builds, labeled.ScaleFree's cells)
 // race for the shared LRU, so two runs of such a build report the same
 // numbers only at GOMAXPROCS=1. The answers never vary; only the
-// counts of hits, rows built, entries settled and evictions do.
+// counts of hits, rows built, entries settled and evictions do. The
+// point-search counters are sums of per-search work, and each search
+// is a pure function of (graph, u, v), so a fixed set of point queries
+// that no cached row answers reports the same numbers in any order and
+// at any GOMAXPROCS (TestPointSearchWork).
 type LazyStats struct {
 	// Hits counts queries answered from a cached row without running
 	// the kernel.
@@ -73,6 +97,16 @@ type LazyStats struct {
 	Settled uint64
 	// Evictions counts rows the entry budget pushed out of the cache.
 	Evictions uint64
+	// PointSearches counts point queries (PointDist) that no cached row
+	// answered and that ran the landmark A* search instead; a cached
+	// row answers as a hit.
+	PointSearches uint64
+	// PointExpanded sums the nodes those searches popped.
+	PointExpanded uint64
+	// LandmarkRows counts the kernel runs that built the landmark
+	// index: 0 until the first point search, then one per landmark
+	// plus node 0's seed row (17 on graphs of 16 nodes or more).
+	LandmarkRows uint64
 }
 
 // rowKey identifies a cached row: the oracle generation it was built
@@ -182,8 +216,14 @@ func (o *LazyOracle) CachedEntries() int {
 // Stats returns the work counters accumulated so far.
 func (o *LazyOracle) Stats() LazyStats {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
+	st := o.stats
+	o.mu.Unlock()
+	st.PointSearches = o.pointSearches.Load()
+	st.PointExpanded = o.pointExpanded.Load()
+	if ix := o.lm.Load(); ix != nil {
+		st.LandmarkRows = ix.rows
+	}
+	return st
 }
 
 // N returns the number of nodes.
@@ -229,6 +269,67 @@ func (o *LazyOracle) Dist(u, v int) float64 {
 	defer o.mu.Unlock()
 	row := o.ensureNode(u, v)
 	return row.dist[row.idx[int32(v)]]
+}
+
+// pointDist returns Dist(u, v), bit for bit, without building a row:
+// a cached row answers if it holds v, and otherwise a landmark A*
+// search from u (point.go) expands the few nodes between u and v
+// instead of the whole ball of radius d(u, v). It caches nothing, runs
+// outside the oracle mutex on pooled scratch, and allocates only on
+// its first call (the landmark index) and when more searches run at
+// once than ever before (their scratch).
+//
+//determinlint:hotpath
+func (o *LazyOracle) pointDist(u, v int) float64 {
+	if d, ok := o.distFast(u, v); ok {
+		return d
+	}
+	ix := o.lm.Load()
+	if ix == nil {
+		//determinlint:allow hotpath the landmark index is built once per oracle, by its first point query
+		ix = o.landmarkIndex()
+	}
+	sc := o.getPointScratch()
+	d, pops := ix.search(o.g, sc, u, v)
+	o.putPointScratch(sc)
+	o.pointSearches.Add(1)
+	o.pointExpanded.Add(pops)
+	return d
+}
+
+// landmarkIndex returns the landmark index, building it if no query has.
+func (o *LazyOracle) landmarkIndex() *landmarks {
+	o.lmMu.Lock()
+	defer o.lmMu.Unlock()
+	ix := o.lm.Load()
+	if ix == nil {
+		ix = newLandmarks(o.g)
+		o.lm.Store(ix)
+	}
+	return ix
+}
+
+// getPointScratch takes an idle search scratch off the free list, or
+// allocates one when every scratch is in use.
+func (o *LazyOracle) getPointScratch() *pointScratch {
+	o.spareMu.Lock()
+	if k := len(o.spare); k > 0 {
+		sc := o.spare[k-1]
+		o.spare = o.spare[:k-1]
+		o.spareMu.Unlock()
+		return sc
+	}
+	o.spareMu.Unlock()
+	//determinlint:allow hotpath a scratch is allocated only when more searches run at once than ever before
+	return newPointScratch(o.n)
+}
+
+// putPointScratch returns a clean scratch to the free list, which
+// keeps one per search that has run at once.
+func (o *LazyOracle) putPointScratch(sc *pointScratch) {
+	o.spareMu.Lock()
+	o.spare = append(o.spare, sc)
+	o.spareMu.Unlock()
 }
 
 // NextHop returns the neighbor of u on the canonical shortest path

@@ -66,6 +66,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	for target, seeds := range map[string][][]byte{
 		"FuzzLazyBall":    fuzzLazySeeds(),
 		"FuzzKernelQueue": kernelQueueSeeds(),
+		"FuzzPointDist":   fuzzPointSeeds(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // TestLazyNoQuadraticAllocation is the APSP-wall regression test: a
 // LazyOracle at n=100,000 serving a representative query mix — a full
 // eccentricity row, size- and radius-balls around scattered sources,
-// point distances — must stay far below the footprint of a single
+// point distances, and point searches (PointDist) with their landmark
+// index — must stay far below the footprint of a single
 // dense n×n matrix (8·n² = 80 GB for Dist alone; NewAPSP at this size
 // is simply not constructible). The 1 GB ceiling is ~80× slack over
 // the observed working set and ~80× under the matrix, so it trips on
@@ -44,9 +46,20 @@ func TestLazyNoQuadraticAllocation(t *testing.T) {
 		if len(o.BallOfSize(u, 256)) != 256 {
 			t.Fatalf("BallOfSize(%d, 256) short", u)
 		}
-		if d := o.Dist(u, (u+n/2)%n); d <= 0 {
-			t.Fatalf("Dist(%d,%d) = %v", u, (u+n/2)%n, d)
+		v := (u + n/2) % n
+		d := o.Dist(u, v)
+		if d <= 0 {
+			t.Fatalf("Dist(%d,%d) = %v", u, v, d)
 		}
+		// The reverse pair asks from v, where no query above roots a
+		// row, so it runs the point search; it differs from d at most
+		// by summation order.
+		if p := PointDist(o, v, u); math.Abs(p-d) > 1e-9*d {
+			t.Fatalf("PointDist(%d,%d) = %v, Dist(%d,%d) = %v", v, u, p, u, v, d)
+		}
+	}
+	if st := o.Stats(); st.PointSearches == 0 || st.LandmarkRows != landmarkCount+1 {
+		t.Fatalf("point queries ran no search: %+v", st)
 	}
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)

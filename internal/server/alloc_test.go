@@ -3,8 +3,11 @@ package server
 import (
 	"testing"
 
+	"compactrouting"
 	"compactrouting/internal/bits"
 	"compactrouting/internal/frame"
+	"compactrouting/internal/graph"
+	"compactrouting/internal/metric"
 )
 
 // framedCycle is the serving plane's hot path exactly as handleConn
@@ -53,9 +56,11 @@ func (fc *framedCycle) run(t testing.TB, eng *Engine) {
 // TestFramedRoutePathAllocs pins the framed batch route path —
 // decode→route→encode — at zero heap allocations per cycle, on the
 // cache-hit path AND the cache-miss path, for both a baseline and a
-// labeled scheme. AllocsPerRun's warm-up invocation grows the reusable
-// buffers and primes the hit-path cache; after that, every cycle must
-// touch only preallocated memory.
+// labeled scheme, and on the lazy backend's cache-miss path, where the
+// optimal distance comes from the point search. AllocsPerRun's warm-up
+// invocation grows the reusable buffers, primes the hit-path cache and
+// builds the point search's landmark index and scratch; after that,
+// every cycle must touch only preallocated memory.
 func TestFramedRoutePathAllocs(t *testing.T) {
 	pairs := []frame.Pair{{Src: 0, Dst: 24}, {Src: 3, Dst: 17}, {Src: 24, Dst: 1}, {Src: 7, Dst: 20}}
 	for _, scheme := range []string{"full-table", "simple-labeled"} {
@@ -72,5 +77,31 @@ func TestFramedRoutePathAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { miss.run(t, missEng) }); n != 0 {
 			t.Errorf("%s cache-miss framed cycle: %.1f allocs/op, want 0", scheme, n)
 		}
+	}
+
+	// Lazy miss path: the same grid on the lazy backend, with the rows
+	// its build cached dropped, so every optimal distance is a point
+	// search.
+	g, err := graph.Grid(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := metric.NewLazyOracle(g)
+	lazyEng, err := New(Config{
+		Build:   func(int64) (*compactrouting.Network, error) { return compactrouting.RestoreNetwork(g, lazy), nil },
+		Seed:    3,
+		Eps:     0.25,
+		Schemes: []string{"simple-labeled"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy.AdvanceGeneration()
+	miss := newFramedCycle(t, pairs)
+	if n := testing.AllocsPerRun(200, func() { miss.run(t, lazyEng) }); n != 0 {
+		t.Errorf("lazy simple-labeled cache-miss framed cycle: %.1f allocs/op, want 0", n)
+	}
+	if st := lazy.Stats(); st.PointSearches != 201*uint64(len(pairs)) {
+		t.Errorf("lazy cache-miss cycles ran %d point searches, want one per pair: %+v", st.PointSearches, st)
 	}
 }

@@ -2,11 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"compactrouting"
 	"compactrouting/internal/core"
+	"compactrouting/internal/frame"
+	"compactrouting/internal/gate"
+	"compactrouting/internal/graph"
+	"compactrouting/internal/metric"
 	"compactrouting/internal/snapshot"
 )
 
@@ -165,5 +172,59 @@ func TestMetricsDistanceBlock(t *testing.T) {
 	}
 	if after.CachedEntries == 0 {
 		t.Fatalf("lazy oracle reports an empty row cache after serving: %+v", after)
+	}
+}
+
+// TestMetricsDistancePointCounters pins the /metrics distance block
+// byte-exact at every GOMAXPROCS while routes are served from several
+// goroutines. A lazy simple-labeled engine on power-law n=256, whose
+// row cache holds eight full rows, serves a fixed pair set with the
+// route cache off: pairs a cached row holds count as hits, the rest as
+// point searches. Serving installs no row, so which pairs hit is fixed
+// by the build, and the search counters are sums of per-pair work.
+func TestMetricsDistancePointCounters(t *testing.T) {
+	g, err := graph.PowerLaw(256, 2, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	const pairs, conns = 1024, 4
+	var dist DistanceSnapshot
+	gate.Same(t, func() []byte {
+		lazy := metric.NewLazyOracleOpts(g, metric.LazyOpts{MaxEntries: 8 * n})
+		eng, err := New(Config{
+			Build:   func(int64) (*compactrouting.Network, error) { return compactrouting.RestoreNetwork(g, lazy), nil },
+			Seed:    1,
+			Eps:     0.25,
+			Schemes: []string{"simple-labeled"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := make([]uint64, pairs)
+		var wg sync.WaitGroup
+		for c := 0; c < conns; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; i < pairs; i += conns {
+					res := eng.RouteLite(0, (i*7)%n, (i*13+5)%n)
+					if res.Status != frame.StatusOK {
+						t.Errorf("pair %d: %+v", i, res)
+					}
+					opt[i] = math.Float64bits(res.Optimal)
+				}
+			}(c)
+		}
+		wg.Wait()
+		dist = *eng.Metrics().Distance
+		body, err := json.Marshal(dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Appendf(body, "\noptimal %x", opt)
+	})
+	if dist.PointSearches == 0 || dist.PointExpanded < dist.PointSearches || dist.LandmarkRows == 0 {
+		t.Fatalf("served routes ran no point search: %+v", dist)
 	}
 }

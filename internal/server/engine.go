@@ -647,6 +647,9 @@ func (e *Engine) Metrics() MetricsSnapshot {
 			Settled:       ls.Settled,
 			Evictions:     ls.Evictions,
 			CachedEntries: lz.CachedEntries(),
+			PointSearches: ls.PointSearches,
+			PointExpanded: ls.PointExpanded,
+			LandmarkRows:  ls.LandmarkRows,
 		}
 	}
 	return snap

@@ -201,15 +201,18 @@ type MetricsSnapshot struct {
 	Generation       uint64               `json:"generation"`
 	Schemes          []string             `json:"schemes"`
 	// Distance is the lazy distance oracle's work since it was created
-	// (the network's build, then cold serving queries); nil (omitted)
-	// on the dense backend, whose queries are matrix reads.
+	// (the network's build, then the point searches of served routes);
+	// nil (omitted) on the dense backend, whose queries are matrix
+	// reads.
 	Distance *DistanceSnapshot `json:"distance,omitempty"`
 }
 
 // DistanceSnapshot reports the lazy oracle's counters (see
-// metric.LazyStats): rows built and entries settled by construction
-// and by cold serving queries, cache hits and evictions, and the
-// entries the row cache holds now.
+// metric.LazyStats): rows built and entries settled by construction,
+// cache hits and evictions, the entries the row cache holds now, and
+// the point searches that answer served optimal distances no cached
+// row holds, with the nodes they expanded and the kernel runs that
+// built their landmark index.
 type DistanceSnapshot struct {
 	Backend       string `json:"backend"`
 	Hits          uint64 `json:"hits"`
@@ -217,6 +220,9 @@ type DistanceSnapshot struct {
 	Settled       uint64 `json:"settled"`
 	Evictions     uint64 `json:"evictions"`
 	CachedEntries int    `json:"cached_entries"`
+	PointSearches uint64 `json:"point_searches"`
+	PointExpanded uint64 `json:"point_expanded"`
+	LandmarkRows  uint64 `json:"landmark_rows"`
 }
 
 // TraceMetricsSnapshot reports the tracing-derived distributions: the

@@ -113,8 +113,12 @@ func (nw *Network) N() int { return nw.g.N() }
 // M returns the number of edges.
 func (nw *Network) M() int { return nw.g.M() }
 
-// Dist returns the shortest-path distance between two nodes.
-func (nw *Network) Dist(u, v int) float64 { return nw.dist.Dist(u, v) }
+// Dist returns the shortest-path distance between two nodes, bit for
+// bit the backend's Dist(u, v). It asks through metric.PointDist, so on
+// the lazy backend it runs a landmark A* search and leaves no row in
+// the cache: a caller asking one distance per pair (the serving plane's
+// optimal distance) never pays for u's whole ball.
+func (nw *Network) Dist(u, v int) float64 { return metric.PointDist(nw.dist, u, v) }
 
 // Diameter returns the largest pairwise distance on the dense backend.
 // On the lazy backend the exact diameter would cost a full Dijkstra
